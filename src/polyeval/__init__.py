@@ -52,7 +52,6 @@ from .decode import (
     sample_sequences,
 )
 from .diversity import (
-    Clustering,
     DiversityReport,
     bcubed,
     cluster_greedy,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from collections import Counter
 
@@ -66,35 +65,33 @@ BLEU_NOTES = (
 )
 
 
-def _resolve_threads(requested: str) -> int:
-    if requested == "auto":
-        return os.cpu_count() or 1
-    count = int(requested)
-    if count < 1:
-        raise ValidationError("--threads must be >= 1")
-    return count
-
-
-def _default_threads() -> str:
-    return os.environ.get("POLYEVAL_THREADS", "auto")
-
-
 def _stable_salt(example_id: str) -> int:
     return int.from_bytes(hashlib.sha256(example_id.encode("utf-8")).digest()[:8], "big")
 
 
 def _load_examples(path: str) -> list:
-    return [validate_example(record) for _, record in read_jsonl(path)]
+    # every record is validated first, so a malformed line is reported by its
+    # own number even when earlier lines repeat an example
+    rows = [(lineno, validate_example(record)) for lineno, record in read_jsonl(path)]
+    seen: set[str] = set()
+    for lineno, example in rows:
+        if example.example_id in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate example {example.example_id!r}"
+            )
+        seen.add(example.example_id)
+    return [example for _, example in rows]
 
 
 def _load_generations(path: str) -> tuple[dict, int]:
     generations = {}
     dropped = 0
-    for _, record in read_jsonl(path):
+    for lineno, record in read_jsonl(path):
         gen_set, n = validate_generation_set(record)
         if gen_set.example_id in generations:
             raise ValidationError(
-                f"duplicate generation record for example {gen_set.example_id!r}"
+                f"{path}:{lineno}: duplicate generation record for example "
+                f"{gen_set.example_id!r}"
             )
         generations[gen_set.example_id] = gen_set
         dropped += n
@@ -156,7 +153,6 @@ def _scale_bleu(body: dict) -> dict:
 def _cmd_eval(args) -> int:
     examples = _load_examples(args.examples)
     generations, dropped = _load_generations(args.generations)
-    threads = _resolve_threads(args.threads)
 
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     external = load_external_scores(args.external_scores) if args.external_scores else None
@@ -189,8 +185,7 @@ def _cmd_eval(args) -> int:
 
     if config.top_k == 1:
         result = top1_corpus(
-            examples, generations, metric, config.selection,
-            external=external, threads=threads,
+            examples, generations, metric, config.selection, external=external
         )
         body = {
             "overall": result.overall,
@@ -205,7 +200,7 @@ def _cmd_eval(args) -> int:
     else:
         result = corpus_score(
             examples, generations, config, metric,
-            clusters=clusters, external=external, threads=threads,
+            clusters=clusters, external=external,
         )
         body = {
             "overall": result.overall,
@@ -243,7 +238,6 @@ def _cmd_eval(args) -> int:
             "embeddings": args.embeddings,
             "external_scores": args.external_scores,
             "seed": args.seed,
-            "threads": args.threads,
         },
         body,
         warnings,
@@ -689,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None)
     p.add_argument("--external-scores", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", default=_default_threads())
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval)
 
@@ -789,9 +782,6 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PolyevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

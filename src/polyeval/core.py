@@ -52,10 +52,6 @@ class InferenceType(str, enum.Enum):
     def answer_prefix(self) -> str:
         return INFERENCE_PROMPTS[self][1]
 
-    @property
-    def convosense_core(self) -> bool:
-        return self in CONVOSENSE_CORE
-
 
 # One guiding question and one answer prefix per inference type.
 INFERENCE_PROMPTS: dict[InferenceType, tuple[str, str]] = {

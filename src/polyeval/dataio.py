@@ -18,13 +18,15 @@ File formats (all JSONL, one record per line):
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -321,6 +323,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             key = text_key(str(record["text"]))
         else:
             raise ValidationError(f"{path}:{lineno}: embedding row needs key or text")
+        if key in vectors:
+            raise ValidationError(f"{path}:{lineno}: duplicate embedding key {key!r}")
         vec = np.asarray(record.get("vector", []), dtype=float)
         if vec.ndim != 1 or vec.shape[0] < 2:
             raise ValidationError(f"{path}:{lineno}: vector must be 1-D with d >= 2")
@@ -347,10 +351,19 @@ def load_clusters(path: str | Path) -> dict[str, list[list[int]]]:
         example_id = str(record.get("example_id", "")).strip()
         if not example_id:
             raise ValidationError(f"{path}:{lineno}: cluster row missing example_id")
+        if example_id in clusters:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate cluster row for example {example_id!r}"
+            )
         groups = record.get("clusters", [])
         if not isinstance(groups, list) or any(not isinstance(g, list) for g in groups):
             raise ValidationError(f"{path}:{lineno}: clusters must be a list of lists")
-        clusters[example_id] = [[int(i) for i in g] for g in groups]
+        for index in (i for g in groups for i in g):
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ValidationError(
+                    f"{path}:{lineno}: cluster index {json.dumps(index)} is not an integer"
+                )
+        clusters[example_id] = groups
     return clusters
 
 
@@ -372,8 +385,34 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
+@contextlib.contextmanager
+def write_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Text handle whose content replaces ``path`` only when the block
+    completes; on an exception ``path`` keeps its old content and the
+    temporary file in its directory is removed.
+
+    A symlink is followed to its target.  A target that exists but is not a
+    regular file (a device or a pipe, such as /dev/stdout) cannot be
+    replaced, so it is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with write_atomic(path) as handle:
         for record in records:
             handle.write(dumps_canonical(record))
             handle.write("\n")

@@ -15,12 +15,6 @@ from .errors import IndexSetMismatch, ValidationError
 from .scoring import validate_clustering
 
 
-@dataclass(frozen=True)
-class Clustering:
-    example_id: str
-    clusters: tuple[tuple[int, ...], ...]
-
-
 def cluster_greedy(
     outputs: Sequence[str], store: EmbeddingStore, tau: float = 0.8
 ) -> list[list[int]]:

@@ -10,15 +10,13 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ValidationError
-
 from . import __version__
+from .dataio import write_atomic
+from .errors import ValidationError
 
 
 def _render(value, pieces: list[str]) -> None:
     if value is None or value is True or value is False:
-        pieces.append(json.dumps(value))
-    elif isinstance(value, bool):  # pragma: no cover - handled above
         pieces.append(json.dumps(value))
     elif isinstance(value, int):
         pieces.append(str(value))
@@ -73,5 +71,5 @@ def write_report(report: dict, path: str | Path | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with write_atomic(path) as handle:
             handle.write(text)

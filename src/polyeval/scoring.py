@@ -7,9 +7,8 @@ example contributions, so results are independent of evaluation order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,25 +42,65 @@ def coverage(n_outs: int, n_refs: int, cap: bool = True) -> float:
     return min(1.0, ratio) if cap else ratio
 
 
+def _example_matrix(
+    outputs: Sequence[str],
+    references: Sequence[str],
+    metric: Metric | None,
+    external: ExternalScoreSidecar | None,
+    example_id: str,
+) -> np.ndarray:
+    """outputs x references scores: from the external sidecar when one is
+    given, otherwise computed with the metric."""
+    if external is not None:
+        return external.matrix_for(example_id, len(outputs), len(references))
+    return score_matrix(outputs, references, metric)
+
+
+def _match(
+    matrix: np.ndarray, matching: str, groups: Sequence[Sequence[int]] | None = None
+) -> float:
+    """Set reducer, after max-pooling output rows into cluster rows when
+    ``groups`` is given."""
+    if groups is not None:
+        matrix = np.stack([matrix[group].max(axis=0) for group in groups])
+    if matching == "bipartite":
+        return polyagg_from_matrix(matrix)
+    if matching == "maximum":
+        return float(matrix.max(axis=1).mean())
+    raise ValidationError(f"unknown matching {matching!r}")
+
+
+def _select(matrix: np.ndarray, selection: str) -> float:
+    """Top-1 reducer over an outputs x references matrix."""
+    if selection == "order":
+        return float(matrix[0].max())
+    if selection == "maximum":
+        return float(matrix.max())
+    raise ValidationError(f"unknown selection {selection!r}")
+
+
 def top1_select(
     outputs: Sequence[str],
     references: Sequence[str],
-    metric: Metric,
+    metric: Metric | None,
     selection: str = "maximum",
+    *,
+    external: ExternalScoreSidecar | None = None,
+    example_id: str = "?",
 ) -> float:
     """Single-inference score.
 
     maximum: best score over all (output, reference) pairs.
     order:   best score over references for the first output only.
+
+    Scores come from ``external`` (keyed by ``example_id``) when given.
     """
     if not outputs:
         raise ValidationError("top1_select needs at least one output")
-    if selection == "order":
-        outputs = outputs[:1]
-    elif selection != "maximum":
-        raise ValidationError(f"unknown selection {selection!r}")
-    matrix = score_matrix(outputs, references, metric)
-    return float(matrix.max())
+    if selection == "order" and external is None:
+        outputs = outputs[:1]  # the metric need not score the other rows
+    matrix = _example_matrix(outputs, references, metric, external, example_id)
+    return _select(matrix, selection)
 
 
 def nbest_score(
@@ -75,12 +114,7 @@ def nbest_score(
     bipartite: injective output->reference mapping (the assignment optimum).
     maximum:   every output keeps its best reference; references may repeat.
     """
-    matrix = score_matrix(outputs, references, metric)
-    if matching == "bipartite":
-        return polyagg_from_matrix(matrix)
-    if matching == "maximum":
-        return float(matrix.max(axis=1).mean())
-    raise ValidationError(f"unknown matching {matching!r}")
+    return _match(score_matrix(outputs, references, metric), matching)
 
 
 def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
@@ -124,14 +158,8 @@ def cluster_constrained_score(
     reference, so the assignment optimum over that matrix is the exact
     optimum over all (representative choice, injective mapping) combinations.
     """
-    clusters = validate_clustering(clusters, len(outputs))
-    matrix = score_matrix(outputs, references, metric)
-    grouped = np.stack([matrix[group].max(axis=0) for group in clusters])
-    if matching == "bipartite":
-        return polyagg_from_matrix(grouped)
-    if matching == "maximum":
-        return float(grouped.max(axis=1).mean())
-    raise ValidationError(f"unknown matching {matching!r}")
+    groups = validate_clustering(clusters, len(outputs))
+    return _match(score_matrix(outputs, references, metric), matching, groups)
 
 
 @dataclass(frozen=True)
@@ -212,29 +240,17 @@ def score_example(
     external: ExternalScoreSidecar | None = None,
 ) -> ExampleScore:
     """Set score plus coverage for one example (the top-k > 1 path)."""
-    if external is not None:
-        matrix = external.matrix_for(example.example_id, len(outputs), len(example.references))
-        if clusters is not None:
-            groups = validate_clustering(clusters, len(outputs), example.example_id)
-            matrix = np.stack([matrix[g].max(axis=0) for g in groups])
-        if matching == "bipartite":
-            value = polyagg_from_matrix(matrix)
-        elif matching == "maximum":
-            value = float(matrix.max(axis=1).mean())
-        else:
-            raise ValidationError(f"unknown matching {matching!r}")
-        n_outs = len(clusters) if clusters is not None else len(outputs)
-    elif clusters is not None:
-        clusters = validate_clustering(clusters, len(outputs), example.example_id)
-        value = cluster_constrained_score(
-            outputs, clusters, example.references, metric, matching
-        )
+    groups = None
+    n_outs = len(outputs)
+    if clusters is not None:
+        groups = validate_clustering(clusters, len(outputs), example.example_id)
         # only one generation per cluster can count, so coverage uses the
         # number of clusters rather than the raw output count
-        n_outs = len(clusters)
-    else:
-        value = nbest_score(outputs, example.references, metric, matching)
-        n_outs = len(outputs)
+        n_outs = len(groups)
+    matrix = _example_matrix(
+        outputs, example.references, metric, external, example.example_id
+    )
+    value = _match(matrix, matching, groups)
     cov = coverage(n_outs, len(example.references), coverage_cap)
     return ExampleScore(
         example_id=example.example_id,
@@ -246,23 +262,6 @@ def score_example(
     )
 
 
-_T = TypeVar("_T")
-
-
-def _map_examples(
-    fn: Callable[[Example], _T], examples: Sequence[Example], threads: int
-) -> list[_T]:
-    """Apply a pure per-example function, optionally on a worker pool.
-
-    The reduction downstream sorts by example_id, so results are independent
-    of worker scheduling.
-    """
-    if threads <= 1 or len(examples) < 2:
-        return [fn(example) for example in examples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, examples))
-
-
 def corpus_score(
     examples: Sequence[Example],
     generations: Mapping[str, GenerationSet],
@@ -271,7 +270,6 @@ def corpus_score(
     *,
     clusters: Mapping[str, Sequence[Sequence[int]]] | None = None,
     external: ExternalScoreSidecar | None = None,
-    threads: int = 1,
 ) -> CorpusScore:
     """Reference-weighted corpus score over set evaluations (top_k > 1)."""
 
@@ -300,7 +298,7 @@ def corpus_score(
             external=external,
         )
 
-    return _aggregate(_map_examples(one, examples, threads))
+    return _aggregate([one(example) for example in examples])
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,6 @@ def top1_corpus(
     selection: str = "maximum",
     *,
     external: ExternalScoreSidecar | None = None,
-    threads: int = 1,
 ) -> Top1Score:
     """Plain average of per-example single-inference scores."""
 
@@ -330,21 +327,13 @@ def top1_corpus(
                 f"no generations for example {example.example_id!r}"
             )
         outputs = select_outputs(gs, top_k=1)
-        if external is not None:
-            matrix = external.matrix_for(
-                example.example_id, len(outputs), len(example.references)
-            )
-            if selection == "order":
-                value = float(matrix[0].max())
-            elif selection == "maximum":
-                value = float(matrix.max())
-            else:
-                raise ValidationError(f"unknown selection {selection!r}")
-        else:
-            value = top1_select(outputs, example.references, metric, selection)
+        value = top1_select(
+            outputs, example.references, metric, selection,
+            external=external, example_id=example.example_id,
+        )
         return example.example_id, example.inference_type.value, value
 
-    rows = _map_examples(one, examples, threads)
+    rows = [one(example) for example in examples]
     rows.sort(key=lambda r: r[0])
     overall = sum(v for _, _, v in rows) / len(rows)
     per_type: dict[str, float] = {}

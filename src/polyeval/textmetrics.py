@@ -151,6 +151,10 @@ def load_external_scores(path: str | Path) -> ExternalScoreSidecar:
         example_id = str(record.get("example_id", "")).strip()
         if not example_id:
             raise ValidationError(f"{path}:{lineno}: score row missing example_id")
+        if example_id in scores:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate score row for example {example_id!r}"
+            )
         matrix = np.asarray(record.get("scores", []), dtype=float)
         if matrix.ndim != 2 or matrix.size == 0:
             raise ValidationError(

@@ -55,7 +55,7 @@ PIPELINE = [
         [
             "eval", "--examples", "unified.jsonl", "--generations", "g_beam.jsonl",
             "--metric", "bleu", "--topk", "1", "--selection", "maximum",
-            "--threads", "1", "--report", "report_eval_top1_max.json",
+            "--report", "report_eval_top1_max.json",
         ],
     ),
     (
@@ -63,7 +63,7 @@ PIPELINE = [
         [
             "eval", "--examples", "unified.jsonl", "--generations", "g_poly.jsonl",
             "--metric", "bleu", "--topk", "1", "--selection", "order",
-            "--threads", "1", "--report", "report_eval_top1_order.json",
+            "--report", "report_eval_top1_order.json",
         ],
     ),
     (
@@ -71,7 +71,7 @@ PIPELINE = [
         [
             "eval", "--examples", "unified.jsonl", "--generations", "g_dbs.jsonl",
             "--metric", "bleu", "--topk", "5", "--matching", "bipartite",
-            "--threads", "1", "--report", "report_eval_top5_bipartite.json",
+            "--report", "report_eval_top5_bipartite.json",
         ],
     ),
     (
@@ -79,7 +79,7 @@ PIPELINE = [
         [
             "eval", "--examples", "unified.jsonl", "--generations", "g_dbs.jsonl",
             "--metric", "bleu", "--topk", "5", "--matching", "maximum",
-            "--threads", "1", "--report", "report_eval_top5_max.json",
+            "--report", "report_eval_top5_max.json",
         ],
     ),
     (
@@ -95,7 +95,7 @@ PIPELINE = [
         [
             "eval", "--examples", "unified.jsonl", "--generations", "g_dbs.jsonl",
             "--metric", "bleu", "--topk", "5", "--matching", "bipartite",
-            "--clusters", "clusters.jsonl", "--threads", "1",
+            "--clusters", "clusters.jsonl",
             "--report", "report_eval_top5_cluster.json",
         ],
     ),

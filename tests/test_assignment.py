@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyeval.assignment import mean_assigned, solve_max
 from polyeval.errors import NonFiniteEntry, ValidationError
@@ -67,6 +69,36 @@ def test_matches_brute_force_on_seeded_grids():
         expect_total, expect_pairs = brute_force(a)
         assert res.objective == pytest.approx(expect_total, abs=1e-9)
         assert res.pairs == expect_pairs  # includes the tie-break contract
+
+
+def tie_dense_matrix(data, m, n):
+    """An m x n matrix over {0, 1, 2}, half the time with near-ties.
+
+    A near-tie moves each entry by -d, 0 or +d with d = 4e-10 / min(m, n),
+    so every assignment total stays within 4e-10 of an integer: totals that
+    differ by less than the 1e-9 tie tolerance are exactly those with the
+    same integer part, and the tie-break has one right answer.  (With
+    +-5e-10 per entry, seven entries could move a total by 3.5e-9 and ties
+    would stop being transitive.)
+    """
+    cells = st.lists(st.sampled_from([0, 1, 2]), min_size=m * n, max_size=m * n)
+    a = np.array(data.draw(cells), dtype=float).reshape(m, n)
+    if data.draw(st.booleans()):
+        signs = st.lists(st.sampled_from([-1, 0, 1]), min_size=m * n, max_size=m * n)
+        a += np.array(data.draw(signs)).reshape(m, n) * 4e-10 / min(m, n)
+    return a
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 8))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_matches_brute_force_on_tie_dense_matrices(m, n, data):
+    a = tie_dense_matrix(data, m, n)
+    res = solve_max(a)
+    expect_total, expect_pairs = brute_force(a)
+    assert res.objective == pytest.approx(expect_total, abs=1e-9)
+    assert res.pairs == expect_pairs
 
 
 def test_tie_break_prefers_lexicographically_smallest():

@@ -16,7 +16,6 @@ def write_lines(path, lines):
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("POLYEVAL_THREADS", raising=False)
     return tmp_path
 
 
@@ -101,7 +100,7 @@ def test_eval_bleu_reports_scaled_and_raw(workdir):
     code = run(
         ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
          "--metric", "bleu", "--topk", "5", "--matching", "bipartite",
-         "--threads", "1", "--report", "r.json"]
+         "--report", "r.json"]
     )
     assert code == 0
     report = json.loads((workdir / "r.json").read_text())
@@ -116,7 +115,7 @@ def test_eval_rerun_is_byte_identical(workdir):
     make_examples(workdir / "u.jsonl")
     make_generations(workdir / "g.jsonl")
     argv = ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
-            "--topk", "5", "--threads", "2", "--report", "r1.json"]
+            "--topk", "5", "--report", "r1.json"]
     assert run(argv) == 0
     assert run(argv[:-1] + ["r2.json"]) == 0
     assert (workdir / "r1.json").read_bytes() == (workdir / "r2.json").read_bytes()
@@ -140,7 +139,7 @@ def test_eval_embed_metric(workdir):
     code = run(
         ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
          "--metric", "embed", "--embeddings", "emb.jsonl", "--topk", "5",
-         "--threads", "1", "--report", "r.json"]
+         "--report", "r.json"]
     )
     assert code == 0
     report = json.loads((workdir / "r.json").read_text())
@@ -159,7 +158,7 @@ def test_eval_external_scores(workdir):
     code = run(
         ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
          "--metric", "external", "--external-scores", "x.jsonl", "--topk", "5",
-         "--threads", "1", "--report", "r.json"]
+         "--report", "r.json"]
     )
     assert code == 0
     report = json.loads((workdir / "r.json").read_text())
@@ -171,16 +170,67 @@ def test_eval_external_scores(workdir):
     ) == 1
 
 
-def test_eval_threads_default_echoed(workdir, monkeypatch):
+EVAL_BASE = ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+             "--topk", "5", "--report", "r.json"]
+
+
+def make_eval_sidecars(workdir):
+    write_jsonl(
+        workdir / "c.jsonl",
+        [{"example_id": f"e{i}", "clusters": [[0], [1]]} for i in range(2)],
+    )
+    write_jsonl(
+        workdir / "x.jsonl",
+        [{"example_id": f"e{i}", "scores": [[0.9, 0.1], [0.2, 0.8]]} for i in range(2)],
+    )
+    write_jsonl(
+        workdir / "emb.jsonl",
+        [
+            {"text": t, "vector": v}
+            for t, v in [
+                ("they feel proud", [1.0, 0.0]),
+                ("they want rest", [0.0, 1.0]),
+                ("nothing matches", [1.0, 1.0]),
+            ]
+        ],
+    )
+
+
+@pytest.mark.parametrize("name,extra,key", [
+    ("u.jsonl", [], "'e0'"),
+    ("c.jsonl", ["--clusters", "c.jsonl"], "'e0'"),
+    ("x.jsonl", ["--metric", "external", "--external-scores", "x.jsonl"], "'e0'"),
+    ("emb.jsonl", ["--metric", "embed", "--embeddings", "emb.jsonl"],
+     repr(text_key("they feel proud"))),
+], ids=["examples", "clusters", "external_scores", "embeddings"])
+def test_eval_rejects_duplicate_keys(workdir, capsys, name, extra, key):
     make_examples(workdir / "u.jsonl")
     make_generations(workdir / "g.jsonl")
-    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
-                "--topk", "1", "--report", "r.json"]) == 0
-    assert json.loads((workdir / "r.json").read_text())["config"]["threads"] == "auto"
-    monkeypatch.setenv("POLYEVAL_THREADS", "3")
-    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
-                "--topk", "1", "--report", "r2.json"]) == 0
-    assert json.loads((workdir / "r2.json").read_text())["config"]["threads"] == "3"
+    make_eval_sidecars(workdir)
+    assert run(EVAL_BASE + extra) == 0
+    lines = (workdir / name).read_text().splitlines()
+    write_lines(workdir / name, lines + lines[:1])
+    capsys.readouterr()
+    assert run(EVAL_BASE + extra) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{name}:{len(lines) + 1}: duplicate" in err
+    assert key in err
+
+
+@pytest.mark.parametrize("index", ['"x"', "1.7", "true"])
+def test_eval_rejects_non_integer_cluster_index(workdir, capsys, index):
+    make_examples(workdir / "u.jsonl")
+    make_generations(workdir / "g.jsonl")
+    write_lines(
+        workdir / "c.jsonl",
+        ['{"example_id": "e0", "clusters": [[0], [%s]]}' % index,
+         '{"example_id": "e1", "clusters": [[0], [1]]}'],
+    )
+    assert run(EVAL_BASE + ["--clusters", "c.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"c.jsonl:1: cluster index {index} is not an integer" in err
 
 
 # --- normalize -------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -268,3 +271,36 @@ def test_embedding_rejects_nonfinite(tmp_path):
     path.write_text('{"text": "a", "vector": [1.0, NaN]}\n')
     with pytest.raises(Exception):
         load_embeddings(path)
+
+
+# --- output files --------------------------------------------------------------
+
+
+def test_write_jsonl_keeps_old_file_when_a_record_fails(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"a": 1}])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_jsonl(path, [{"a": 2}, {"b": object()}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_jsonl_follows_symlinks_and_writes_pipes_in_place(tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    write_jsonl(link, [{"a": 1}])
+    assert link.is_symlink()
+    assert target.read_text() == '{"a":1}\n'
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_jsonl(fifo, [{"a": 1}])
+        assert os.read(reader, 100) == b'{"a":1}\n'
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)

@@ -334,15 +334,6 @@ def test_missing_generations_error():
         top1_corpus([example_of("e0", ["a"])], {}, exact_match)
 
 
-def test_threads_do_not_change_results():
-    examples = [example_of(f"e{i}", [f"r{i}", "shared"]) for i in range(8)]
-    gens = {f"e{i}": gen(f"e{i}", [[f"r{i}", "nope"]]) for i in range(8)}
-    config = EvalConfig(top_k=5)
-    a = corpus_score(examples, gens, config, exact_match, threads=1)
-    b = corpus_score(examples, gens, config, exact_match, threads=4)
-    assert a == b
-
-
 # --- output selection ---------------------------------------------------------
 
 
