@@ -47,6 +47,7 @@ from .decode import (
     diverse_beam_search,
     format_polymorphic,
     load_ngram_lm,
+    pack_runs,
     parse_polymorphic,
     sample_runs,
     sample_sequences,

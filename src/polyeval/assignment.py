@@ -2,9 +2,11 @@
 
 scipy's ``linear_sum_assignment`` (a shortest-augmenting-path solver after
 Crouse 2016) finds the optimal total.  A greedy pass then fixes the
-tie-break: among equally scoring optima the returned assignment is the one
-whose row-sorted pair list is lexicographically smallest.  Near-ties within
-an absolute 1e-9 of the optimum are treated as exact ties.
+tie-break.  The tie contract has one definition: the result is the
+lexicographically smallest row-sorted pair list among all assignments whose
+total is >= optimum - 1e-9.  The tolerance is measured from the optimum
+alone, so near-ties do not chain: two assignments within 1e-9 of each other
+are not both ties unless both are within 1e-9 of the optimum.
 """
 from __future__ import annotations
 

@@ -35,14 +35,13 @@ from .decode import (
     beam_search,
     diverse_beam_search,
     load_ngram_lm,
-    parse_polymorphic,
+    pack_runs,
     sample_runs,
 )
 from .diversity import bcubed, cluster_greedy, diversity_report, ngram_uniqueness
 from .errors import (
     ExcludedType,
     PolyevalError,
-    UnparseableSequence,
     ValidationError,
 )
 from .report import make_report, write_report
@@ -182,6 +181,9 @@ def _cmd_eval(args) -> int:
     warnings = []
     if dropped:
         warnings.append(f"dropped_duplicate_outputs:{dropped}")
+    orphans = len(set(generations) - {example.example_id for example in examples})
+    if orphans:
+        warnings.append(f"orphan_generations:{orphans}")
 
     if config.top_k == 1:
         result = top1_corpus(
@@ -260,6 +262,12 @@ def _cmd_diversity(args) -> int:
         if args.topk:
             outputs = outputs[: args.topk]
         outputs_by_example[example_id] = outputs
+    if gold is not None:
+        for example_id in outputs_by_example:
+            if example_id not in gold:
+                raise ValidationError(
+                    f"{args.gold_clusters}: no gold clustering for example {example_id!r}"
+                )
 
     if embeddings is not None:
         clusterings = {
@@ -285,8 +293,6 @@ def _cmd_diversity(args) -> int:
     if gold is not None and embeddings is not None:
         rows = []
         for eid in sorted(outputs_by_example):
-            if eid not in gold:
-                raise ValidationError(f"no gold clustering for example {eid!r}")
             p, r, f1 = bcubed(clusterings[eid], gold[eid])
             rows.append((p, r, f1))
         body["bcubed"] = {
@@ -355,7 +361,13 @@ def _load_annotations(path: str) -> dict:
             label = str(record["label"])
         except KeyError as exc:
             raise ValidationError(f"{path}:{lineno}: missing field {exc}") from None
-        rows.setdefault((task, system), {}).setdefault(item_id, {})[annotator] = label
+        labels = rows.setdefault((task, system), {}).setdefault(item_id, {})
+        if annotator in labels:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate annotation for task {task!r}, "
+                f"system {system!r}, item {item_id!r}, annotator {annotator!r}"
+            )
+        labels[annotator] = label
     if not rows:
         raise ValidationError(f"{path}: no annotation rows")
     return rows
@@ -507,98 +519,59 @@ def _cmd_stats_ttest(args) -> int:
 # --- decode -----------------------------------------------------------------
 
 
-def _parse_sequences_as_runs(example_id: str, sequences) -> tuple[object, list[str]]:
-    """One polymorphic run per decoded sequence."""
-    run_lists = []
-    warnings = []
-    for seq in sequences:
-        if not seq.finished:
-            warnings.append("max_len_without_end")
-        try:
-            parsed = parse_polymorphic(seq.text)
-            warnings.extend(parsed.warnings)
-            items = list(parsed.items)
-        except UnparseableSequence:
-            items = []
-        if not items:
-            items = [seq.text]
-            warnings.append("unparseable_fallback")
-        run_lists.append(items)
-    gen_set, dropped = make_generation_set(
-        example_id, GenerationMode.POLYMORPHIC, run_lists
-    )
-    if dropped:
-        warnings.append(f"dropped_duplicates:{dropped}")
-    return gen_set, warnings
-
-
 def _cmd_decode(args) -> int:
     lm = load_ngram_lm(args.lm)
     examples = _load_examples(args.examples)
-    rep_default = 5.0 if args.strategy == "poly" else 1.0
+    poly = args.strategy == "poly"
+    dbs = args.strategy == "dbs"
+    rep_default = 5.0 if poly else 1.0
     rep_penalty = rep_default if args.rep_penalty is None else args.rep_penalty
 
+    sequences = None
+    if not poly or args.poly_from_beams:
+        config = BeamConfig(
+            beams=max(args.beams, args.runs) if poly else args.beams,
+            groups=args.groups if dbs else 1,
+            diversity_penalty=args.penalty if dbs else 0.0,
+            repetition_penalty=rep_penalty,
+            max_len=args.max_len,
+        )
+        # the scorer sees only the prefix, never the example, so one search
+        # serves every example
+        sequences = (
+            diverse_beam_search(lm, config) if dbs
+            else beam_search(lm, config, k=args.runs if poly else None)
+        )
+
+    mono_mode = (
+        GenerationMode.MONOMORPHIC_DIVERSE_BEAM if dbs else GenerationMode.MONOMORPHIC_BEAM
+    )
     records = []
     warning_counts: Counter[str] = Counter()
+    if not poly:
+        # beam and DBS reports count force-terminated beams even when none were
+        warning_counts["max_len_without_end"] = 0
     for example in examples:
-        if args.strategy == "beam":
-            config = BeamConfig(
-                beams=args.beams,
-                groups=1,
-                repetition_penalty=rep_penalty,
+        if poly and sequences is None:
+            gen_set, warnings = sample_runs(
+                lm,
+                example_id=example.example_id,
+                runs=args.runs,
+                temperature=args.temperature,
+                seed=args.seed,
+                salt=_stable_salt(example.example_id),
                 max_len=args.max_len,
-            )
-            sequences = beam_search(lm, config)
-            mode = GenerationMode.MONOMORPHIC_BEAM
-        elif args.strategy == "dbs":
-            config = BeamConfig(
-                beams=args.beams,
-                groups=args.groups,
-                diversity_penalty=args.penalty,
                 repetition_penalty=rep_penalty,
-                max_len=args.max_len,
             )
-            sequences = diverse_beam_search(lm, config)
-            mode = GenerationMode.MONOMORPHIC_DIVERSE_BEAM
-        else:  # poly
-            if args.poly_from_beams:
-                config = BeamConfig(
-                    beams=max(args.beams, args.runs),
-                    groups=1,
-                    repetition_penalty=rep_penalty,
-                    max_len=args.max_len,
-                )
-                top = beam_search(lm, config, k=args.runs)
-                gen_set, warnings = _parse_sequences_as_runs(example.example_id, top)
-            else:
-                gen_set, warnings = sample_runs(
-                    lm,
-                    example_id=example.example_id,
-                    mode=GenerationMode.POLYMORPHIC,
-                    runs=args.runs,
-                    temperature=args.temperature,
-                    seed=args.seed,
-                    salt=_stable_salt(example.example_id),
-                    max_len=args.max_len,
-                    repetition_penalty=rep_penalty,
-                )
-            warning_counts.update(warnings)
-            records.append(
-                {
-                    "example_id": gen_set.example_id,
-                    "mode": gen_set.mode.value,
-                    "runs": [list(run) for run in gen_set.runs],
-                }
+        elif poly:
+            gen_set, warnings = pack_runs(example.example_id, sequences)
+        else:
+            gen_set, dropped = make_generation_set(
+                example.example_id, mono_mode, [[s.text for s in sequences]]
             )
-            continue
-        warning_counts["max_len_without_end"] += sum(
-            1 for s in sequences if not s.finished
-        )
-        gen_set, dropped = make_generation_set(
-            example.example_id, mode, [[s.text for s in sequences]]
-        )
-        if dropped:
-            warning_counts["dropped_duplicates"] += dropped
+            warnings = ["max_len_without_end" for s in sequences if not s.finished]
+            warnings += ["dropped_duplicates"] * dropped
+        warning_counts.update(warnings)
         records.append(
             {
                 "example_id": gen_set.example_id,

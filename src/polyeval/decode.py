@@ -5,10 +5,11 @@ with nonzero probability (log-probabilities are finite and logsumexp to 0)
 plus an ``end_token`` attribute.  A deterministic n-gram toy language model
 is provided as the desk-scale scorer for verification and demos.
 
-Beam mechanics, shared by beam_search and each diverse-beam group: finished
-candidates always move to the result pool without consuming beam slots, and
-the surviving unfinished candidates are pruned to the beam width by
-cumulative log-probability.  Final ranking is by length-normalized
+Beam mechanics, in diverse_beam_search (beam_search is its one-group case):
+finished candidates always move to the result pool without consuming beam
+slots, and the surviving unfinished candidates are pruned to the beam width
+by cumulative log-probability, less the diversity penalty in every group
+after the first.  Final ranking is by length-normalized
 log-probability (cumulative divided by token count, end token included);
 ties break by token lexicographic order.
 """
@@ -103,23 +104,6 @@ def _expand(scorer: TokenScorer, beams: list[tuple[tuple[str, ...], float]],
     return candidates
 
 
-def _advance(
-    candidates: list[tuple[tuple[str, ...], float, str]],
-    width: int,
-    end_token: str,
-    finished: list[tuple[tuple[str, ...], float]],
-) -> list[tuple[tuple[str, ...], float]]:
-    """Pool finished candidates, keep the top ``width`` unfinished ones."""
-    active = []
-    for tokens, logprob, token in candidates:
-        if token == end_token:
-            finished.append((tokens, logprob))
-        else:
-            active.append((tokens, logprob))
-    active.sort(key=lambda c: (-c[1], c[0]))
-    return active[:width]
-
-
 def _rank(pool: list[DecodedSequence]) -> list[DecodedSequence]:
     return sorted(pool, key=lambda s: (-s.score, s.tokens))
 
@@ -137,17 +121,8 @@ def beam_search(
     k = config.beams if k is None else k
     if k > config.beams:
         raise ValidationError(f"k ({k}) cannot exceed beams ({config.beams})")
-    end = scorer.end_token
-    active: list[tuple[tuple[str, ...], float]] = [((), 0.0)]
-    finished: list[tuple[tuple[str, ...], float]] = []
-    for _ in range(config.max_len):
-        if not active:
-            break
-        candidates = _expand(scorer, active, config.repetition_penalty)
-        active = _advance(candidates, config.beams, end, finished)
-    pool = [_sequence(t, lp, True, end) for t, lp in finished]
-    pool += [_sequence(t, lp, False, end) for t, lp in active]
-    return _rank(pool)[:k]
+    # one group is plain beam search: no earlier group to penalize against
+    return diverse_beam_search(scorer, config)[:k]
 
 
 def diverse_beam_search(
@@ -225,6 +200,8 @@ def sample_sequences(
         raise ValidationError("temperature must be >= 0")
     if n < 1:
         raise ValidationError("need at least one run")
+    if max_len < 1:
+        raise ValidationError("max_len must be >= 1")
     end = scorer.end_token
     sequences = []
     for run in range(n):
@@ -256,10 +233,47 @@ def sample_sequences(
     return sequences
 
 
+def pack_runs(
+    example_id: str, sequences: Iterable[DecodedSequence]
+) -> tuple[GenerationSet, list[str]]:
+    """Package decoded sequences as a polymorphic GenerationSet, one run each.
+
+    Each text is parsed as a numbered inference list; a text with no list
+    marker falls back to a single inference.  The warnings name one event
+    each: ``max_len_without_end``, ``empty_run_dropped`` (only the end token
+    was produced), ``unparseable_fallback``, the parser's warnings, and one
+    ``dropped_duplicates`` per dropped repeated item.
+    """
+    warnings: list[str] = []
+    run_lists: list[list[str]] = []
+    for seq in sequences:
+        if not seq.finished:
+            warnings.append("max_len_without_end")
+        if not seq.text:
+            warnings.append("empty_run_dropped")
+            continue
+        try:
+            parsed = parse_polymorphic(seq.text)
+            warnings.extend(parsed.warnings)
+            items = list(parsed.items)
+        except UnparseableSequence:
+            items = []
+        if not items:
+            items = [seq.text]
+            warnings.append("unparseable_fallback")
+        run_lists.append(items)
+    if not run_lists:
+        raise ValidationError(f"example {example_id!r}: every decoded run was empty")
+    gen_set, dropped = make_generation_set(
+        example_id, GenerationMode.POLYMORPHIC, run_lists
+    )
+    warnings.extend(["dropped_duplicates"] * dropped)
+    return gen_set, warnings
+
+
 def sample_runs(
     scorer: TokenScorer,
     example_id: str,
-    mode: GenerationMode | str = GenerationMode.POLYMORPHIC,
     runs: int = 3,
     temperature: float = 1.0,
     seed: int = 0,
@@ -267,46 +281,11 @@ def sample_runs(
     max_len: int = 32,
     repetition_penalty: float = 1.0,
 ) -> tuple[GenerationSet, list[str]]:
-    """Sample run sequences and package them as a GenerationSet.
-
-    In polymorphic mode each run's text is parsed as a numbered inference
-    list; a text with no list marker falls back to a single inference and is
-    reported in the warnings.
-    """
-    mode = GenerationMode(mode)
+    """Sample ``runs`` sequences and package them with ``pack_runs``."""
     sequences = sample_sequences(
         scorer, runs, temperature, seed, salt, max_len, repetition_penalty
     )
-    warnings: list[str] = []
-    run_lists: list[list[str]] = []
-    for seq in sequences:
-        if not seq.finished:
-            warnings.append("max_len_without_end")
-        if not seq.text:
-            # the run produced only the end token: no inference to keep
-            warnings.append("empty_run_dropped")
-            continue
-        if mode is GenerationMode.POLYMORPHIC:
-            try:
-                parsed = parse_polymorphic(seq.text)
-                warnings.extend(parsed.warnings)
-                items = list(parsed.items)
-            except UnparseableSequence:
-                items = []
-            if not items:
-                items = [seq.text]
-                warnings.append("unparseable_fallback")
-        else:
-            items = [seq.text]
-        run_lists.append(items)
-    if not run_lists:
-        raise ValidationError(
-            f"example {example_id!r}: every sampled run was empty"
-        )
-    gen_set, dropped = make_generation_set(example_id, mode, run_lists)
-    if dropped:
-        warnings.append(f"dropped_duplicates:{dropped}")
-    return gen_set, warnings
+    return pack_runs(example_id, sequences)
 
 
 # --- numbered-list codec ----------------------------------------------------

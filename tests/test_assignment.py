@@ -10,25 +10,25 @@ from polyeval.errors import NonFiniteEntry, ValidationError
 
 
 def brute_force(matrix):
-    """Exhaustive maximum over injective row->column mappings, with the
-    lexicographically smallest row-sorted pair list among ties."""
+    """Exhaustive oracle for the tie contract: the optimum over injective
+    row->column mappings, then the lexicographically smallest row-sorted pair
+    list among mappings whose total is within 1e-9 of it."""
     a = np.asarray(matrix, dtype=float)
     m, n = a.shape
-    best_total = -np.inf
-    best_pairs = None
     if m <= n:
         row_sets = [tuple(range(m))]
     else:
         row_sets = list(itertools.combinations(range(m), n))
-    for rows in row_sets:
-        for perm in itertools.permutations(range(n), len(rows)):
-            total = sum(a[r, c] for r, c in zip(rows, perm))
-            pairs = tuple(zip(rows, perm))
-            if total > best_total + 1e-9 or (
-                abs(total - best_total) <= 1e-9 and pairs < best_pairs
-            ):
-                best_total, best_pairs = total, pairs
-    return best_total, best_pairs
+    candidates = [
+        (sum(a[r, c] for r, c in zip(rows, perm)), tuple(zip(rows, perm)))
+        for rows in row_sets
+        for perm in itertools.permutations(range(n), len(rows))
+    ]
+    best_total = max(total for total, _ in candidates)
+    pairs, total = min(
+        (pairs, total) for total, pairs in candidates if total >= best_total - 1e-9
+    )
+    return total, pairs
 
 
 def test_single_cell():
@@ -110,6 +110,14 @@ def test_tie_break_prefers_lexicographically_smallest():
     # tall matrix: rows may be skipped; smaller rows win when tied
     wide = np.zeros((3, 2))
     assert solve_max(wide).pairs == ((0, 0), (1, 1))
+
+
+def test_near_ties_are_measured_from_the_optimum():
+    # totals 0.6e-9, 1.2e-9 and 1.8e-9: with the optimum at 1.8e-9, 1.2e-9 is
+    # a tie and 0.6e-9 is not, although 0.6e-9 is within 1e-9 of 1.2e-9
+    a = np.array([[0, 6, 12], [6, 6, 0]]) * 1e-10
+    assert solve_max(a).pairs == ((0, 1), (1, 0))
+    assert brute_force(a)[1] == ((0, 1), (1, 0))
 
 
 def test_transpose_objective_equal():

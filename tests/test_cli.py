@@ -6,6 +6,7 @@ import pytest
 from polyeval.cli import run
 from polyeval.core import validate_generation_set
 from polyeval.dataio import read_jsonl, text_key, write_jsonl
+from polyeval.decode import NgramLM
 from polyeval.stats import cohen_kappa, gwet_ac1
 
 
@@ -233,6 +234,21 @@ def test_eval_rejects_non_integer_cluster_index(workdir, capsys, index):
     assert f"c.jsonl:1: cluster index {index} is not an integer" in err
 
 
+@pytest.mark.parametrize("topk", ["1", "5"])
+def test_eval_counts_orphan_generations(workdir, topk):
+    make_examples(workdir / "u.jsonl", n=1)
+    make_generations(workdir / "g.jsonl", n=3)  # e1 and e2 match no example
+    argv = ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+            "--topk", topk, "--report", "r.json"]
+    assert run(argv) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["warnings"] == ["orphan_generations:2"]
+    assert report["n_examples"] == 1
+    make_generations(workdir / "g.jsonl", n=1)
+    assert run(argv) == 0
+    assert json.loads((workdir / "r.json").read_text())["warnings"] == []
+
+
 # --- normalize -------------------------------------------------------------------
 
 
@@ -323,6 +339,16 @@ def test_diversity_needs_some_clustering_source(workdir, capsys):
     assert run(["diversity", "--generations", "g.jsonl", "--report", "r.json"]) == 1
 
 
+def test_diversity_gold_clusters_must_cover_every_example(workdir, capsys):
+    make_generations(workdir / "g.jsonl", n=2)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    code = run(["diversity", "--generations", "g.jsonl",
+                "--gold-clusters", "gold.jsonl", "--report", "r.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: gold.jsonl: no gold clustering for example 'e1'\n"
+
+
 def test_datastats_report(workdir):
     make_examples(workdir / "u.jsonl", n=3)
     assert run(["datastats", "--examples", "u.jsonl", "--report", "r.json"]) == 0
@@ -374,6 +400,17 @@ def test_stats_agree(workdir):
             pairs.append((base, (base and not flip) or (not base and flip)))
     assert block["ac1"] == pytest.approx(gwet_ac1(pairs), rel=1e-7)
     assert block["kappa"] == pytest.approx(cohen_kappa(pairs), rel=1e-7)
+
+
+def test_stats_rejects_duplicate_annotation(workdir, capsys):
+    rows = annotation_rows()
+    relabel = dict(rows[0], label="invalid_nonsense")
+    write_jsonl(workdir / "ann.jsonl", rows + [relabel])
+    assert run(["stats", "agree", "--in", "ann.jsonl", "--report", "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"ann.jsonl:{len(rows) + 1}: duplicate annotation" in err
+    assert not (workdir / "r.json").exists()
 
 
 def test_stats_mcnemar_deterministic(workdir):
@@ -478,6 +515,92 @@ def test_decode_poly_from_beams(workdir):
     # top beams parsed as numbered lists: "(1) left" -> ["left"], ...
     assert rows[0]["runs"][0] == ["left"]
     assert len(rows[0]["runs"]) == 2
+
+
+DECODE_BASE = ["decode", "--lm", "lm.json", "--examples", "u.jsonl",
+               "--out", "g.jsonl", "--report", "r.json"]
+
+
+@pytest.mark.parametrize("strategy", [
+    ["--strategy", "beam", "--beams", "4"],
+    ["--strategy", "dbs", "--beams", "4", "--groups", "2", "--penalty", "0.5"],
+    ["--strategy", "poly", "--poly-from-beams", "--runs", "2", "--beams", "4"],
+], ids=["beam", "dbs", "poly_from_beams"])
+def test_decode_searches_once_per_command(workdir, monkeypatch, strategy):
+    # the scorer sees only the prefix, so the search cost must not grow with
+    # the number of examples
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    logprobs = NgramLM.logprobs
+    calls = []
+
+    def counting(self, prefix):
+        calls.append(prefix)
+        return logprobs(self, prefix)
+
+    monkeypatch.setattr(NgramLM, "logprobs", counting)
+    counts = []
+    for n in (1, 3):
+        make_examples(workdir / "u.jsonl", n=n)
+        calls.clear()
+        assert run(DECODE_BASE + strategy + ["--max-len", "6"]) == 0
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+
+
+def test_decode_poly_counts_dropped_duplicates_in_total(workdir):
+    # every run decodes "(1) same ; (2) same" and drops the second item
+    lm = {
+        "order": 3,
+        "end_token": "</s>",
+        "vocab": ["(1)", "; (2)", "same", "</s>"],
+        "cond": [
+            {"context": [], "probs": {"(1)": 1.0}},
+            {"context": ["(1)"], "probs": {"same": 1.0}},
+            {"context": ["(1)", "same"], "probs": {"; (2)": 1.0}},
+            {"context": ["same", "; (2)"], "probs": {"same": 1.0}},
+            {"context": ["; (2)", "same"], "probs": {"</s>": 1.0}},
+        ],
+    }
+    (workdir / "lm.json").write_text(json.dumps(lm))
+    make_examples(workdir / "u.jsonl", n=2)
+    assert run(DECODE_BASE + ["--strategy", "poly", "--runs", "3"]) == 0
+    rows = [rec for _, rec in read_jsonl(workdir / "g.jsonl")]
+    assert [row["runs"] for row in rows] == [[["same"]] * 3] * 2
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["warnings"] == ["dropped_duplicates:6"]
+
+
+def test_decode_poly_from_beams_drops_end_only_beam(workdir):
+    # the top beam is the end token alone (score log 0.9 against log(0.1)/3)
+    lm = {
+        "order": 2,
+        "end_token": "</s>",
+        "vocab": ["(1)", "left", "</s>"],
+        "cond": [
+            {"context": [], "probs": {"</s>": 0.9, "(1)": 0.1}},
+            {"context": ["(1)"], "probs": {"left": 1.0}},
+            {"context": ["left"], "probs": {"</s>": 1.0}},
+        ],
+    }
+    (workdir / "lm.json").write_text(json.dumps(lm))
+    make_examples(workdir / "u.jsonl", n=2)
+    code = run(DECODE_BASE + ["--strategy", "poly", "--poly-from-beams",
+                              "--runs", "2", "--beams", "2"])
+    assert code == 0
+    rows = [rec for _, rec in read_jsonl(workdir / "g.jsonl")]
+    assert [row["runs"] for row in rows] == [[["left"]]] * 2
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["warnings"] == ["empty_run_dropped:2"]
+
+
+def test_decode_rejects_zero_max_len(workdir, capsys):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", "poly", "--max-len", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "max_len" in err and "Traceback" not in err
 
 
 def test_report_to_stdout(workdir, capsys):

@@ -331,6 +331,8 @@ def test_sample_rejects_bad_args():
         sample_sequences(lm, n=0)
     with pytest.raises(ValidationError):
         sample_sequences(lm, n=1, temperature=-0.5)
+    with pytest.raises(ValidationError):
+        sample_sequences(lm, n=1, max_len=0)
 
 
 # --- numbered-list codec ----------------------------------------------------------
