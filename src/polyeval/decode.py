@@ -119,6 +119,8 @@ def beam_search(
     if config.groups != 1:
         raise ValidationError("beam_search requires groups=1; see diverse_beam_search")
     k = config.beams if k is None else k
+    if k < 1:
+        raise ValidationError("need at least one run")
     if k > config.beams:
         raise ValidationError(f"k ({k}) cannot exceed beams ({config.beams})")
     # one group is plain beam search: no earlier group to penalize against
@@ -202,6 +204,8 @@ def sample_sequences(
         raise ValidationError("need at least one run")
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
+    if repetition_penalty < 1:
+        raise ValidationError("repetition penalty must be >= 1")
     end = scorer.end_token
     sequences = []
     for run in range(n):

@@ -4,9 +4,15 @@ A metric is any callable ``metric(candidate, reference) -> float``.  Two are
 built in (sentence BLEU and embedding cosine); externally computed scores
 (e.g. from a contextual-encoder metric) are injected through a sidecar file
 of per-example score matrices.
+
+A metric may also carry a per-text ``prepare(text)`` and a per-pair
+``compare(prepared_candidate, prepared_reference)``, with
+``metric(c, r) == compare(prepare(c), prepare(r))``.  ``score_matrix`` then
+prepares each distinct text once per matrix; both built-in metrics do.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from pathlib import Path
@@ -38,8 +44,35 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+_BleuProfile = tuple[int, list[Counter]]
+
+
+def _bleu_profile(text: str) -> _BleuProfile:
+    """Token count and n-gram counts (n = 1..4) of one text."""
+    tokens = tokenize(text)
+    grams = [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, 5)]
+    return len(tokens), grams
+
+
+def _bleu_compare(candidate: _BleuProfile, reference: _BleuProfile) -> float:
+    cand_len, cand_grams = candidate
+    ref_len, ref_grams = reference
+    log_sum = 0.0
+    for n, cand_counts, ref_counts in zip(range(1, 5), cand_grams, ref_grams):
+        possible = max(cand_len - n + 1, 0)
+        matches = sum(
+            min(cand_counts[gram], ref_counts[gram])
+            for gram in cand_counts.keys() & ref_counts.keys()
+        )
+        if matches > 0:
+            precision = matches / possible
+        elif n >= 2:
+            precision = (matches + 1) / (possible + 1)
+        else:
+            return 0.0
+        log_sum += 0.25 * math.log(precision)
+    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
+    return brevity * math.exp(log_sum)
 
 
 def bleu(candidate: str, reference: str) -> float:
@@ -50,28 +83,10 @@ def bleu(candidate: str, reference: str) -> float:
     For n >= 2 a zero precision is smoothed to (matches + 1) / (possible + 1);
     unigram precision is never smoothed, so disjoint texts score 0.
     """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    log_sum = 0.0
-    for n in range(1, 5):
-        possible = max(len(cand) - n + 1, 0)
-        if possible == 0:
-            matches = 0
-        else:
-            ref_counts = _ngram_counts(ref, n)
-            matches = sum(
-                min(count, ref_counts[gram])
-                for gram, count in _ngram_counts(cand, n).items()
-            )
-        if matches > 0:
-            precision = matches / possible
-        elif n >= 2:
-            precision = (matches + 1) / (possible + 1)
-        else:
-            return 0.0
-        log_sum += 0.25 * math.log(precision)
-    brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-    return brevity * math.exp(log_sum)
+    return _bleu_compare(_bleu_profile(candidate), _bleu_profile(reference))
+
+
+bleu.prepare, bleu.compare = _bleu_profile, _bleu_compare
 
 
 def exact_match(candidate: str, reference: str) -> float:
@@ -79,17 +94,28 @@ def exact_match(candidate: str, reference: str) -> float:
     return 1.0 if normalize_text(candidate) == normalize_text(reference) else 0.0
 
 
-def embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
-    """Cosine similarity between the stored vectors of the two texts."""
-    u = store.lookup(candidate)
-    v = store.lookup(reference)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+_Embedded = tuple[str, np.ndarray, float]
+
+
+def _embedding(text: str, store: EmbeddingStore) -> _Embedded:
+    """The text, its stored vector and the vector's norm."""
+    vector = store.lookup(text)
+    return text, vector, float(np.linalg.norm(vector))
+
+
+def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
+    cand_text, u, nu = candidate
+    ref_text, v, nv = reference
     if nu == 0.0 or nv == 0.0:
         raise ZeroNormVector(
-            f"zero-norm embedding for {(candidate if nu == 0.0 else reference)!r}"
+            f"zero-norm embedding for {(cand_text if nu == 0.0 else ref_text)!r}"
         )
     return float(np.dot(u, v) / (nu * nv))
+
+
+def embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
+    """Cosine similarity between the stored vectors of the two texts."""
+    return _cosine(_embedding(candidate, store), _embedding(reference, store))
 
 
 def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Metric:
@@ -99,7 +125,10 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
     if metric_id in ("embed", "embed_cosine"):
         if embeddings is None:
             raise ValidationError("embed_cosine metric requires an embedding store")
-        return lambda c, r: embed_cosine(c, r, embeddings)
+        metric = functools.partial(embed_cosine, store=embeddings)
+        metric.prepare = functools.partial(_embedding, store=embeddings)
+        metric.compare = _cosine
+        return metric
     if metric_id == "exact":
         return exact_match
     raise ValidationError(f"unknown metric id {metric_id!r}")
@@ -108,14 +137,24 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
 def score_matrix(
     outputs: Sequence[str], references: Sequence[str], metric: Metric
 ) -> np.ndarray:
-    """|outputs| x |references| matrix of metric values."""
+    """|outputs| x |references| matrix of metric values.
+
+    Each distinct text is prepared once, at its first use in row-major order,
+    so a failure names the same cell as calling the metric pair by pair.
+    """
     if not outputs or not references:
         raise ValidationError("score_matrix needs nonempty outputs and references")
+    prepare = getattr(metric, "prepare", lambda text: text)
+    compare = getattr(metric, "compare", metric)
+    prepared: dict[str, object] = {}
     matrix = np.empty((len(outputs), len(references)), dtype=float)
     for i, out in enumerate(outputs):
         for j, ref in enumerate(references):
             try:
-                matrix[i, j] = metric(out, ref)
+                for text in (out, ref):
+                    if text not in prepared:
+                        prepared[text] = prepare(text)
+                matrix[i, j] = compare(prepared[out], prepared[ref])
             except PolyevalError as exc:
                 raise type(exc)(f"{exc} (at output {i}, reference {j})") from exc
     return matrix

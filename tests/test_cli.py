@@ -603,6 +603,21 @@ def test_decode_rejects_zero_max_len(workdir, capsys):
     assert "max_len" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--rep-penalty", "-3"], "repetition penalty must be >= 1"),
+    (["--rep-penalty", "0.5"], "repetition penalty must be >= 1"),
+    (["--poly-from-beams", "--runs", "0"], "need at least one run"),
+], ids=["rep_penalty_negative", "rep_penalty_below_1", "from_beams_runs_0"])
+def test_decode_poly_rejects_bad_args(workdir, capsys, args, message):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", "poly"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not (workdir / "g.jsonl").exists()
+
+
 def test_report_to_stdout(workdir, capsys):
     make_examples(workdir / "u.jsonl", n=1)
     assert run(["datastats", "--examples", "u.jsonl"]) == 0

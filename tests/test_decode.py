@@ -145,6 +145,8 @@ def test_beam_rejects_bad_config():
         beam_search(lm, BeamConfig(beams=4, groups=2))
     with pytest.raises(ValidationError):
         beam_search(lm, BeamConfig(beams=2), k=5)
+    with pytest.raises(ValidationError, match="need at least one run"):
+        beam_search(lm, BeamConfig(beams=2), k=0)
 
 
 # --- diverse beam search -----------------------------------------------------------
@@ -333,6 +335,9 @@ def test_sample_rejects_bad_args():
         sample_sequences(lm, n=1, temperature=-0.5)
     with pytest.raises(ValidationError):
         sample_sequences(lm, n=1, max_len=0)
+    for penalty in (0.5, 0.0, -3.0):
+        with pytest.raises(ValidationError, match="repetition penalty must be >= 1"):
+            sample_sequences(lm, n=1, repetition_penalty=penalty)
 
 
 # --- numbered-list codec ----------------------------------------------------------

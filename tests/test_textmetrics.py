@@ -1,11 +1,27 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyeval.dataio import EmbeddingStore, text_key
-from polyeval.errors import EmptyText, MissingEmbedding, ValidationError, ZeroNormVector
-from polyeval.textmetrics import bleu, embed_cosine, exact_match, make_metric, score_matrix
+from polyeval.errors import (
+    EmptyText,
+    MissingEmbedding,
+    PolyevalError,
+    ValidationError,
+    ZeroNormVector,
+)
+from polyeval.textmetrics import (
+    bleu,
+    embed_cosine,
+    exact_match,
+    make_metric,
+    score_matrix,
+    tokenize,
+)
 
 
 def store_of(**vectors):
@@ -151,3 +167,170 @@ def test_make_metric_ids():
         make_metric("embed_cosine")  # needs a store
     with pytest.raises(ValidationError):
         make_metric("mystery")
+
+
+# --- prepared texts against the per-pair reference --------------------------------
+# Reference implementations that call the metric on every pair and read both
+# texts afresh each time; score_matrix must reproduce them bit for bit,
+# failures included.
+
+
+def ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def pairwise_bleu(candidate, reference):
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    log_sum = 0.0
+    for n in range(1, 5):
+        possible = max(len(cand) - n + 1, 0)
+        if possible == 0:
+            matches = 0
+        else:
+            ref_counts = ngram_counts(ref, n)
+            matches = sum(
+                min(count, ref_counts[gram])
+                for gram, count in ngram_counts(cand, n).items()
+            )
+        if matches > 0:
+            precision = matches / possible
+        elif n >= 2:
+            precision = (matches + 1) / (possible + 1)
+        else:
+            return 0.0
+        log_sum += 0.25 * math.log(precision)
+    brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
+    return brevity * math.exp(log_sum)
+
+
+def pairwise_embed_cosine(candidate, reference, store):
+    u = store.lookup(candidate)
+    v = store.lookup(reference)
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroNormVector(
+            f"zero-norm embedding for {(candidate if nu == 0.0 else reference)!r}"
+        )
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def pairwise_matrix(outputs, references, metric):
+    matrix = np.empty((len(outputs), len(references)), dtype=float)
+    for i, out in enumerate(outputs):
+        for j, ref in enumerate(references):
+            try:
+                matrix[i, j] = metric(out, ref)
+            except PolyevalError as exc:
+                raise type(exc)(f"{exc} (at output {i}, reference {j})") from exc
+    return matrix
+
+
+def outcome(build):
+    """The matrix a build returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except PolyevalError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert (got == want).all(), "prepared path is not bit-identical"
+
+
+WORDS = st.sampled_from(["a", "b", "c", "A", "d"])  # few words: n-grams repeat and clip
+TEXTS = st.lists(WORDS, min_size=1, max_size=12).map(" ".join)
+TEXT_LISTS = st.lists(TEXTS, min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outputs=TEXT_LISTS, references=TEXT_LISTS)
+def test_bleu_matrix_is_bit_identical_to_pairwise(outputs, references):
+    got = score_matrix(outputs, references, bleu)
+    want = pairwise_matrix(outputs, references, pairwise_bleu)
+    assert_same_outcome(got, want)
+    assert all(
+        bleu(o, r) == got[i, j]
+        for i, o in enumerate(outputs) for j, r in enumerate(references)
+    )
+
+
+KEYS = st.sampled_from(["k0", "k1", "k2", "k3", "k4", "k5"])
+VECTOR = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=3, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vectors=st.dictionaries(KEYS, VECTOR, min_size=1),
+    outputs=st.lists(KEYS, min_size=1, max_size=6),
+    references=st.lists(KEYS, min_size=1, max_size=6),
+)
+def test_embed_matrix_matches_pairwise_including_failures(vectors, outputs, references):
+    # keys absent from the store and all-zero vectors fail; the prepared path
+    # must fail at the same cell with the same message
+    store = store_of(**vectors)
+    got = outcome(lambda: score_matrix(
+        outputs, references, make_metric("embed_cosine", store)))
+    want = outcome(lambda: pairwise_matrix(
+        outputs, references, lambda c, r: pairwise_embed_cosine(c, r, store)))
+    assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("outputs, references, error, cell", [
+    (["a b", "c", "  ", "d"], ["a", "b"], EmptyText, "output 2, reference 0"),
+    (["a b", "c"], ["a", "", "b"], EmptyText, "output 0, reference 1"),
+], ids=["empty_output_2", "empty_reference_1"])
+def test_bleu_matrix_names_failing_cell(outputs, references, error, cell):
+    want = outcome(lambda: pairwise_matrix(outputs, references, pairwise_bleu))
+    with pytest.raises(error, match=cell):
+        score_matrix(outputs, references, bleu)
+    assert outcome(lambda: score_matrix(outputs, references, bleu)) == want
+
+
+def test_embed_matrix_zero_norm_output_next_to_missing_reference():
+    store = store_of(a=[1.0, 0.0], z=[0.0, 0.0])
+    outputs, references = ["a", "z"], ["a", "missing"]
+    metric = make_metric("embed_cosine", store)
+    # cell (0, 1) reaches the missing reference before row 1 reaches "z"
+    with pytest.raises(MissingEmbedding, match=r"'missing'.*output 0, reference 1"):
+        score_matrix(outputs, references, metric)
+    # the reference is looked up before either norm is checked
+    with pytest.raises(MissingEmbedding, match=r"output 0, reference 0"):
+        score_matrix(["z"], ["missing"], metric)
+    with pytest.raises(ZeroNormVector, match=r"'z'.*output 1, reference 0"):
+        score_matrix(outputs, ["a"], metric)
+    for outs, refs in ((outputs, references), (["z"], ["missing"]), (outputs, ["a"])):
+        assert outcome(lambda: score_matrix(outs, refs, metric)) == outcome(
+            lambda: pairwise_matrix(
+                outs, refs, lambda c, r: pairwise_embed_cosine(c, r, store)))
+
+
+def test_score_matrix_prepares_each_distinct_text_once():
+    prepared = []
+
+    def prepare(text):
+        prepared.append(text)
+        return len(text)
+
+    def metric(candidate, reference):
+        return float(len(candidate) - len(reference))
+
+    metric.prepare = prepare
+    metric.compare = lambda c, r: float(c - r)
+    outputs = [f"output {i}" * (i + 1) for i in range(10)]
+    references = [f"ref {j}" * (j + 1) for j in range(5)]
+    for outs in (outputs, outputs + outputs[::-1]):
+        prepared.clear()
+        matrix = score_matrix(outs, references, metric)
+        assert len(prepared) == 15 and set(prepared) == set(outputs + references)
+        # a plain callable is its own compare and gives the same values
+        plain = score_matrix(outs, references, lambda c, r: metric(c, r))
+        assert (matrix == plain).all()
+        assert plain[3, 2] == len(outs[3]) - len(references[2])
