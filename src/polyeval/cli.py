@@ -17,18 +17,22 @@ from .core import (
     EvalConfig,
     GenerationMode,
     example_to_record,
+    get_field,
     make_generation_set,
     validate_example,
     validate_generation_set,
 )
 from .dataio import (
     RAW_SOURCES,
+    float_array,
+    jsonl_text,
     load_clusters,
     load_embeddings,
+    load_keyed,
     normalize,
-    read_jsonl,
+    read_jsonl,  # noqa: F401  kept importable as polyeval.cli.read_jsonl
     validate_raw_record,
-    write_jsonl,
+    write_files,
 )
 from .decode import (
     BeamConfig,
@@ -44,7 +48,7 @@ from .errors import (
     PolyevalError,
     ValidationError,
 )
-from .report import make_report, write_report
+from .report import make_report, render_report
 from .scoring import corpus_score, top1_corpus
 from .stats import (
     AnnotationTable,
@@ -69,51 +73,39 @@ def _stable_salt(example_id: str) -> int:
 
 
 def _load_examples(path: str) -> list:
-    # every record is validated first, so a malformed line is reported by its
-    # own number even when earlier lines repeat an example
-    rows = [(lineno, validate_example(record)) for lineno, record in read_jsonl(path)]
-    seen: set[str] = set()
-    for lineno, example in rows:
-        if example.example_id in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate example {example.example_id!r}"
-            )
-        seen.add(example.example_id)
-    return [example for _, example in rows]
+    def parse(record: dict) -> tuple:
+        example = validate_example(record)
+        return example.example_id, example
+
+    return list(load_keyed(path, parse, "example").values())
 
 
 def _load_generations(path: str) -> tuple[dict, int]:
-    generations = {}
-    dropped = 0
-    for lineno, record in read_jsonl(path):
-        gen_set, n = validate_generation_set(record)
-        if gen_set.example_id in generations:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate generation record for example "
-                f"{gen_set.example_id!r}"
-            )
-        generations[gen_set.example_id] = gen_set
-        dropped += n
-    return generations, dropped
+    """Generation sets by example_id, and the duplicate outputs dropped."""
+    def parse(record: dict) -> tuple:
+        gen_set, dropped = validate_generation_set(record)
+        return gen_set.example_id, (gen_set, dropped)
+
+    loaded = load_keyed(path, parse, "example")
+    return ({eid: gen_set for eid, (gen_set, _) in loaded.items()},
+            sum(dropped for _, dropped in loaded.values()))
 
 
 # --- normalize --------------------------------------------------------------
 
 
-def _cmd_normalize(args) -> int:
-    records = []
-    excluded = 0
-    by_type: Counter[str] = Counter()
-    for _, raw in read_jsonl(args.infile):
+def _cmd_normalize(args) -> tuple:
+    def parse(raw: dict) -> tuple:
+        # an excluded type is kept as None, so its id still counts as taken
         record = validate_raw_record(raw, default_source=args.source)
         try:
-            example = normalize(record, seed=args.seed)
+            return record.example_id, normalize(record, seed=args.seed)
         except ExcludedType:
-            excluded += 1
-            continue
-        by_type[example.inference_type.value] += 1
-        records.append(example_to_record(example))
-    write_jsonl(args.out, records)
+            return record.example_id, None
+
+    examples = list(load_keyed(args.infile, parse, "example").values())
+    records = [example_to_record(e) for e in examples if e is not None]
+    by_type = Counter(e.inference_type.value for e in examples if e is not None)
     report = make_report(
         "normalize",
         {
@@ -124,13 +116,12 @@ def _cmd_normalize(args) -> int:
         },
         {
             "examples": len(records),
-            "excluded": excluded,
+            "excluded": len(examples) - len(records),
             "by_type": dict(sorted(by_type.items())),
         },
         warnings=[],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {args.out: records}
 
 
 # --- eval -------------------------------------------------------------------
@@ -149,7 +140,7 @@ def _scale_bleu(body: dict) -> dict:
     return body
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     examples = _load_examples(args.examples)
     generations, dropped = _load_generations(args.generations)
 
@@ -174,7 +165,6 @@ def _cmd_eval(args) -> int:
         matching={"max": "maximum"}.get(args.matching, args.matching),
         cluster_constrained=args.clusters is not None and args.topk > 1,
         coverage_cap=not args.no_coverage_cap,
-        metric_id=metric_id,
         seed=args.seed,
     )
 
@@ -244,14 +234,15 @@ def _cmd_eval(args) -> int:
         body,
         warnings,
     )
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
 # --- diversity ---------------------------------------------------------------
 
 
-def _cmd_diversity(args) -> int:
+def _cmd_diversity(args) -> tuple:
+    if args.topk < 0:
+        raise ValidationError(f"--topk must be >= 0, got {args.topk}")
     generations, dropped = _load_generations(args.generations)
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     gold = load_clusters(args.gold_clusters) if args.gold_clusters else None
@@ -300,15 +291,6 @@ def _cmd_diversity(args) -> int:
             "recall": sum(r for _, r, _ in rows) / len(rows),
             "f1": sum(f for _, _, f in rows) / len(rows),
         }
-    if args.out_clusters:
-        write_jsonl(
-            args.out_clusters,
-            (
-                {"example_id": eid, "clusters": [list(g) for g in clusterings[eid]]}
-                for eid in sorted(clusterings)
-            ),
-        )
-
     warnings = []
     if dropped:
         warnings.append(f"dropped_duplicate_outputs:{dropped}")
@@ -325,14 +307,15 @@ def _cmd_diversity(args) -> int:
         body,
         warnings,
     )
-    write_report(report, args.report)
-    return 0
+    clusters = [{"example_id": eid, "clusters": [list(g) for g in clusterings[eid]]}
+                for eid in sorted(clusterings)]
+    return report, {args.out_clusters: clusters} if args.out_clusters else {}
 
 
 # --- datastats ----------------------------------------------------------------
 
 
-def _cmd_datastats(args) -> int:
+def _cmd_datastats(args) -> tuple:
     examples = _load_examples(args.examples)
     table = ngram_uniqueness(examples)
     overall = table.pop("_overall")
@@ -342,8 +325,7 @@ def _cmd_datastats(args) -> int:
         {"per_type": table, "overall": overall},
         warnings=[],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
 # --- stats ---------------------------------------------------------------------
@@ -351,25 +333,16 @@ def _cmd_datastats(args) -> int:
 
 def _load_annotations(path: str) -> dict:
     """rows[(task, system)][item_id] -> {annotator: label}"""
-    rows: dict = {}
-    for lineno, record in read_jsonl(path):
-        try:
-            task = str(record["task"])
-            system = str(record["system"])
-            item_id = str(record["item_id"])
-            annotator = str(record["annotator"])
-            label = str(record["label"])
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from None
-        labels = rows.setdefault((task, system), {}).setdefault(item_id, {})
-        if annotator in labels:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate annotation for task {task!r}, "
-                f"system {system!r}, item {item_id!r}, annotator {annotator!r}"
-            )
-        labels[annotator] = label
-    if not rows:
+    def parse(record: dict) -> tuple:
+        key = tuple(get_field(record, f, str) for f in ("task", "system", "item_id", "annotator"))
+        return key, get_field(record, "label", str)
+
+    labels = load_keyed(path, parse, "annotation")
+    if not labels:
         raise ValidationError(f"{path}: no annotation rows")
+    rows: dict = {}
+    for (task, system, item_id, annotator), label in labels.items():
+        rows.setdefault((task, system), {}).setdefault(item_id, {})[annotator] = label
     return rows
 
 
@@ -385,7 +358,7 @@ def _paired_items(items: dict) -> AnnotationTable:
     return AnnotationTable(tuple(table))
 
 
-def _cmd_stats_agree(args) -> int:
+def _cmd_stats_agree(args) -> tuple:
     rows = _load_annotations(args.infile)
     body: dict = {}
     for task in sorted({task for task, _ in rows}):
@@ -402,11 +375,10 @@ def _cmd_stats_agree(args) -> int:
             "n_items": len(pairs),
         }
     report = make_report("stats.agree", {"in": args.infile}, {"tasks": body}, [])
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
-def _cmd_stats_mcnemar(args) -> int:
+def _cmd_stats_mcnemar(args) -> tuple:
     rows = _load_annotations(args.infile)
     body: dict = {}
     for task in sorted({task for task, _ in rows}):
@@ -455,8 +427,7 @@ def _cmd_stats_mcnemar(args) -> int:
         {"tasks": body},
         [],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -466,7 +437,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValidationError(f"{flag} must be a comma-separated integer list") from None
 
 
-def _cmd_stats_prop(args) -> int:
+def _cmd_stats_prop(args) -> tuple:
     successes = _parse_int_list(args.successes, "--successes")
     trials = _parse_int_list(args.trials, "--trials")
     statistic, p_value = chi_square_proportions(successes, trials)
@@ -481,16 +452,14 @@ def _cmd_stats_prop(args) -> int:
         },
         [],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
-def _cmd_stats_ttest(args) -> int:
-    vectors = []
-    for lineno, record in read_jsonl(args.scores):
-        if "name" not in record or "values" not in record:
-            raise ValidationError(f"{args.scores}:{lineno}: need name and values")
-        vectors.append((str(record["name"]), [float(v) for v in record["values"]]))
+def _cmd_stats_ttest(args) -> tuple:
+    def parse(record: dict) -> tuple:
+        return get_field(record, "name", str), float_array(record.get("values"), 1, "values")
+
+    vectors = load_keyed(args.scores, parse, "name")
     results = paired_t_bonferroni(vectors, m=args.m)
     body = {
         "m": args.m if args.m is not None else len(results),
@@ -512,14 +481,13 @@ def _cmd_stats_ttest(args) -> int:
         body,
         [],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {}
 
 
 # --- decode -----------------------------------------------------------------
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> tuple:
     lm = load_ngram_lm(args.lm)
     examples = _load_examples(args.examples)
     poly = args.strategy == "poly"
@@ -579,7 +547,6 @@ def _cmd_decode(args) -> int:
                 "runs": [list(run) for run in gen_set.runs],
             }
         )
-    write_jsonl(args.out, records)
     report = make_report(
         "decode",
         {
@@ -600,8 +567,7 @@ def _cmd_decode(args) -> int:
         {"examples": len(records)},
         warnings=[f"{name}:{count}" for name, count in sorted(warning_counts.items())],
     )
-    write_report(report, args.report)
-    return 0
+    return report, {args.out: records}
 
 
 # --- parser -----------------------------------------------------------------
@@ -751,17 +717,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one subcommand.  Its JSONL outputs and report are rendered in full
+    before any file is opened, then written all or none; a report without
+    ``--report`` goes to stdout last."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        report, outputs = args.func(args)
+        texts = {path: jsonl_text(records) for path, records in outputs.items()}
+        report_text = render_report(report)
+        if args.report is not None:
+            texts[args.report] = report_text
+        write_files(texts)
+        if args.report is None:
+            sys.stdout.write(report_text)
+        return 0
     except PolyevalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        name = getattr(exc, "filename", None)
-        where = f" ({name})" if name else ""
-        print(f"i/o error: {exc}{where}", file=sys.stderr)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -207,7 +207,6 @@ class EvalConfig:
     matching: str = "bipartite"  # bipartite | maximum
     cluster_constrained: bool = False
     coverage_cap: bool = True
-    metric_id: str = "bleu"
     seed: int = 0
 
     def __post_init__(self):
@@ -221,22 +220,42 @@ class EvalConfig:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
+_JSON_NAMES = {str: "string", list: "list", dict: "object"}
+
+
+def get_field(raw: dict, name: str, kind: type, default=None, of: type | None = None):
+    """``raw[name]``, or ``default`` when it is absent.  Either must be a
+    ``kind``; with ``of``, a list whose every item is an ``of``."""
+    value = raw.get(name, default)
+    if not isinstance(value, kind) or (of and any(not isinstance(v, of) for v in value)):
+        if name not in raw:
+            raise ValidationError(f"missing field {name!r}")
+        items = f" of {_JSON_NAMES[of]}s" if of else ""
+        raise ValidationError(f"{name} must be a {_JSON_NAMES[kind]}{items}")
+    return value
+
+
+def example_id_of(raw: dict) -> str:
+    """The record's nonblank ``example_id``, trimmed."""
+    example_id = get_field(raw, "example_id", str).strip()
+    if not example_id:
+        raise ValidationError("example_id is blank")
+    return example_id
+
+
 def validate_example(raw: dict) -> Example:
     """Build an Example from a decoded unified-format record.
 
     Applies whitespace normalization to every text and enforces the model
     invariants: nonempty references, alternating speaker tags, known type.
     """
-    example_id = str(raw.get("example_id", "")).strip()
-    if not example_id:
-        raise ValidationError("record is missing example_id")
-
-    itype = inference_type_from_name(str(raw.get("type", "")), example_id)
+    example_id = example_id_of(raw)
+    itype = inference_type_from_name(get_field(raw, "type", str), example_id)
 
     turns = []
-    for entry in raw.get("dialogue", []):
-        tag = normalize_text(str(entry.get("speaker", "")))
-        text = normalize_text(str(entry.get("text", "")))
+    for entry in get_field(raw, "dialogue", list, of=dict):
+        tag = normalize_text(get_field(entry, "speaker", str))
+        text = normalize_text(get_field(entry, "text", str))
         if not tag:
             raise ValidationError(f"example {example_id!r}: empty speaker tag")
         if not text:
@@ -251,7 +270,7 @@ def validate_example(raw: dict) -> Example:
                 f"{cur.speaker_tag!r}"
             )
 
-    references = tuple(normalize_text(str(r)) for r in raw.get("references", []))
+    references = tuple(normalize_text(r) for r in get_field(raw, "references", list, of=str))
     if not references or any(not r for r in references):
         raise EmptyReferences(
             f"example {example_id!r}: references must be nonempty"
@@ -316,19 +335,11 @@ def make_generation_set(
 
 def validate_generation_set(raw: dict) -> tuple[GenerationSet, int]:
     """Build a GenerationSet from a decoded generations-file record."""
-    example_id = str(raw.get("example_id", "")).strip()
-    if not example_id:
-        raise ValidationError("generation record is missing example_id")
-    try:
-        mode = GenerationMode(str(raw.get("mode", "")))
-    except ValueError:
-        raise ValidationError(
-            f"example {example_id!r}: unknown generation mode {raw.get('mode')!r}"
-        ) from None
-    runs = raw.get("runs", [])
-    if not isinstance(runs, list) or any(not isinstance(r, list) for r in runs):
-        raise ValidationError(f"example {example_id!r}: runs must be a list of lists")
-    return make_generation_set(example_id, mode, runs)
+    example_id = example_id_of(raw)
+    runs = get_field(raw, "runs", list, of=list)
+    if any(not isinstance(text, str) for run in runs for text in run):
+        raise ValidationError("runs must hold only strings")
+    return make_generation_set(example_id, get_field(raw, "mode", str), runs)
 
 
 def dumps_canonical(obj) -> str:

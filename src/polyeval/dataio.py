@@ -15,6 +15,11 @@ File formats (all JSONL, one record per line):
   clusters:    {"example_id", "clusters": [[output_index, ...], ...]}
   raw records: {"example_id", "source", "utterances": [{"speaker", "text"}],
                 "type_label", "inferences": [...]}
+
+Every keyed JSONL input is read by ``load_keyed``, so a bad record (a
+field of the wrong shape, an invalid value or a repeated key) fails as
+``<path>:<line>: ...``.  Every output goes through ``write_files``, which
+writes all of a command's files or none of them.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +44,8 @@ from .core import (
     SPEAKER,
     Turn,
     dumps_canonical,
+    example_id_of,
+    get_field,
     normalize_text,
 )
 from .errors import (
@@ -47,6 +54,7 @@ from .errors import (
     InsufficientRuns,
     MissingEmbedding,
     NonFiniteEntry,
+    PolyevalError,
     UnknownSourceLabel,
     ValidationError,
 )
@@ -111,27 +119,25 @@ class RawRecord:
 
 
 def validate_raw_record(raw: dict, default_source: str = "generic") -> RawRecord:
-    example_id = str(raw.get("example_id", "")).strip()
-    if not example_id:
-        raise ValidationError("raw record is missing example_id")
-    source = str(raw.get("source", default_source))
+    example_id = example_id_of(raw)
+    source = get_field(raw, "source", str, default_source)
     if source not in RAW_SOURCES:
         raise ValidationError(f"example {example_id!r}: unknown source {source!r}")
     utterances = []
-    for entry in raw.get("utterances", []):
-        name = normalize_text(str(entry.get("speaker", "")))
-        text = normalize_text(str(entry.get("text", "")))
+    for entry in get_field(raw, "utterances", list, [], of=dict):
+        name = normalize_text(get_field(entry, "speaker", str, ""))
+        text = normalize_text(get_field(entry, "text", str, ""))
         if not text:
             raise ValidationError(f"example {example_id!r}: empty utterance text")
         utterances.append((name, text))
     if not utterances:
         raise ValidationError(f"example {example_id!r}: no utterances")
-    inferences = tuple(normalize_text(str(i)) for i in raw.get("inferences", []))
+    inferences = tuple(normalize_text(i) for i in get_field(raw, "inferences", list, [], of=str))
     return RawRecord(
         example_id,
         source,
         tuple(utterances),
-        str(raw.get("type_label", "")),
+        get_field(raw, "type_label", str, ""),
         inferences,
     )
 
@@ -314,31 +320,21 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    vectors: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, record in read_jsonl(path):
-        if "key" in record:
-            key = str(record["key"])
-        elif "text" in record:
-            key = text_key(str(record["text"]))
-        else:
-            raise ValidationError(f"{path}:{lineno}: embedding row needs key or text")
-        if key in vectors:
-            raise ValidationError(f"{path}:{lineno}: duplicate embedding key {key!r}")
-        vec = np.asarray(record.get("vector", []), dtype=float)
-        if vec.ndim != 1 or vec.shape[0] < 2:
-            raise ValidationError(f"{path}:{lineno}: vector must be 1-D with d >= 2")
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteEntry(f"{path}:{lineno}: vector has NaN/Inf components")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise DimensionMismatch(
-                f"{path}:{lineno}: vector dimension {vec.shape[0]} != {dim}"
-            )
-        vec.setflags(write=False)
-        vectors[key] = vec
-    return EmbeddingStore(vectors)
+
+    def parse(record: dict) -> tuple[str, np.ndarray]:
+        nonlocal dim
+        key = (get_field(record, "key", str) if "key" in record
+               else text_key(get_field(record, "text", str)))
+        vec = float_array(record.get("vector"), 1, "vector")
+        if vec.shape[0] < 2:
+            raise ValidationError("vector must have d >= 2")
+        dim = dim or vec.shape[0]
+        if vec.shape[0] != dim:
+            raise DimensionMismatch(f"vector dimension {vec.shape[0]} != {dim}")
+        return key, vec
+
+    return EmbeddingStore(load_keyed(path, parse, "embedding key"))
 
 
 # --- clusters file ---------------------------------------------------------
@@ -346,25 +342,14 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
 def load_clusters(path: str | Path) -> dict[str, list[list[int]]]:
     """Load externally produced clusterings keyed by example_id."""
-    clusters: dict[str, list[list[int]]] = {}
-    for lineno, record in read_jsonl(path):
-        example_id = str(record.get("example_id", "")).strip()
-        if not example_id:
-            raise ValidationError(f"{path}:{lineno}: cluster row missing example_id")
-        if example_id in clusters:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate cluster row for example {example_id!r}"
-            )
-        groups = record.get("clusters", [])
-        if not isinstance(groups, list) or any(not isinstance(g, list) for g in groups):
-            raise ValidationError(f"{path}:{lineno}: clusters must be a list of lists")
+    def parse(record: dict) -> tuple[str, list[list[int]]]:
+        groups = get_field(record, "clusters", list, [], of=list)
         for index in (i for g in groups for i in g):
             if not isinstance(index, int) or isinstance(index, bool):
-                raise ValidationError(
-                    f"{path}:{lineno}: cluster index {json.dumps(index)} is not an integer"
-                )
-        clusters[example_id] = groups
-    return clusters
+                raise ValidationError(f"cluster index {json.dumps(index)} is not an integer")
+        return example_id_of(record), groups
+
+    return load_keyed(path, parse, "example")
 
 
 # --- JSONL plumbing --------------------------------------------------------
@@ -381,38 +366,89 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: malformed JSONL at line {lineno}: {exc}") from None
             if not isinstance(record, dict):
-                raise ValidationError(f"{path}: line {lineno} is not a JSON object")
+                raise ValidationError(f"{path}:{lineno}: record is not a JSON object")
             yield lineno, record
 
 
-@contextlib.contextmanager
-def write_atomic(path: str | Path) -> Iterator[TextIO]:
-    """Text handle whose content replaces ``path`` only when the block
-    completes; on an exception ``path`` keeps its old content and the
-    temporary file in its directory is removed.
+def load_keyed(path: str | Path, parse: Callable[[dict], tuple], what: str) -> dict:
+    """Every record of a JSONL file, as ``{key: value}`` in file order, where
+    ``parse(record)`` returns ``(key, value)``.
 
-    A symlink is followed to its target.  A target that exists but is not a
-    regular file (a device or a pipe, such as /dev/stdout) cannot be
-    replaced, so it is written in place.
+    Any error of a record names the file and line: a toolkit error keeps its
+    type, and a record of the wrong shape (``parse`` raising AttributeError,
+    KeyError, TypeError or ValueError) is a ValidationError.  Every record is
+    parsed before keys are compared, so a malformed later line is reported by
+    its own number; a repeated key fails as ``duplicate <what> <key>``.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
-        return
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    rows = []
+    for lineno, record in read_jsonl(path):
+        try:
+            rows.append((lineno, *parse(record)))
+        except PolyevalError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed record ({exc})") from None
+    keyed: dict = {}
+    for lineno, key, value in rows:
+        if key in keyed:
+            raise ValidationError(f"{path}:{lineno}: duplicate {what} {key!r}")
+        keyed[key] = value
+    return keyed
+
+
+def float_array(value, ndim: int, name: str) -> np.ndarray:
+    """A read-only, nonempty ``ndim``-D float array of finite JSON numbers."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf" or array.ndim != ndim or array.size == 0:
+        raise ValidationError(f"{name} must be a nonempty {ndim}-D array of numbers")
+    if not np.all(np.isfinite(array)):
+        raise NonFiniteEntry(f"{name} has NaN/Inf entries")
+    array = array.astype(float)
+    array.setflags(write=False)
+    return array
+
+
+def jsonl_text(records: Iterable[dict]) -> str:
+    """Canonical JSONL: one ``dumps_canonical`` line per record."""
+    return "".join(dumps_canonical(record) + "\n" for record in records)
+
+
+def write_files(texts: dict[str | Path, str]) -> None:
+    """Write each text to its path: all of them, or on an error none.
+
+    Every text first goes to a temporary file beside the file its path
+    resolves to (a symlink is followed).  The targets are replaced only once
+    every temporary file is written; on any exception the temporary files
+    are removed and the targets keep their old content.  A target that
+    exists but is not a regular file (a device or a pipe, such as
+    /dev/stdout) cannot be replaced, so it is written in place, after the
+    regular files.
+    """
+    staged: list[tuple[str, str]] = []
+    in_place = []
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(tmp, target)
+        for i, (path, text) in enumerate(texts.items()):
+            if os.path.exists(path) and not os.path.isfile(path):
+                in_place.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            staged.append((f"{target}.{os.getpid()}.{i}.tmp", target))
+            try:
+                with open(staged[-1][0], "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:  # name the path given, not the temporary file
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        for tmp, target in staged:
+            os.replace(tmp, target)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
+    for path, text in in_place:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with write_atomic(path) as handle:
-        for record in records:
-            handle.write(dumps_canonical(record))
-            handle.write("\n")
+    write_files({path: jsonl_text(records)})

@@ -50,10 +50,9 @@ class BeamConfig:
             raise ValidationError(
                 f"beams ({self.beams}) must be divisible by groups ({self.groups})"
             )
-        if self.diversity_penalty < 0:
-            raise ValidationError("diversity penalty must be >= 0")
-        if self.repetition_penalty < 1:
-            raise ValidationError("repetition penalty must be >= 1")
+        if not (0 <= self.diversity_penalty < math.inf):
+            raise ValidationError("diversity penalty must be >= 0 and finite")
+        _check_repetition_penalty(self.repetition_penalty)
         if self.max_len < 1:
             raise ValidationError("max_len must be >= 1")
 
@@ -73,13 +72,17 @@ def _sequence(tokens: tuple[str, ...], logprob: float, finished: bool,
     return DecodedSequence(tokens, text, logprob, logprob / len(tokens), finished)
 
 
+def _check_repetition_penalty(penalty: float) -> None:
+    if not (1 <= penalty < math.inf):
+        raise ValidationError("repetition penalty must be >= 1 and finite")
+
+
 def apply_repetition_penalty(
     logprobs: Mapping[str, float], history: Iterable[str], penalty: float
 ) -> dict[str, float]:
     """Penalize tokens already generated: positive scores are divided by the
     penalty, negative scores multiplied."""
-    if penalty < 1:
-        raise ValidationError("repetition penalty must be >= 1")
+    _check_repetition_penalty(penalty)
     if penalty == 1.0:
         return dict(logprobs)
     seen = set(history)
@@ -198,14 +201,15 @@ def sample_sequences(
     temperature scales log-probabilities before renormalization; 0 selects
     the argmax at every step (ties to the lexicographically smaller token).
     """
-    if temperature < 0:
-        raise ValidationError("temperature must be >= 0")
+    if not (0 <= temperature < math.inf):
+        raise ValidationError("temperature must be >= 0 and finite")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if n < 1:
         raise ValidationError("need at least one run")
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    if repetition_penalty < 1:
-        raise ValidationError("repetition penalty must be >= 1")
+    _check_repetition_penalty(repetition_penalty)
     end = scorer.end_token
     sequences = []
     for run in range(n):

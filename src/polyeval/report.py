@@ -7,11 +7,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from pathlib import Path
 
 from . import __version__
-from .dataio import write_atomic
 from .errors import ValidationError
 
 
@@ -64,12 +61,3 @@ def make_report(tool: str, config: dict, body: dict, warnings: list[str]) -> dic
     }
     report.update(body)
     return report
-
-
-def write_report(report: dict, path: str | Path | None) -> None:
-    text = render_report(report)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with write_atomic(path) as handle:
-            handle.write(text)

@@ -185,6 +185,8 @@ def resolve_and_repeat(
         raise ValidationError("both sides must annotate the same items")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rates_x = []
     rates_y = []
     discordances = []

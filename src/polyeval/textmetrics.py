@@ -20,18 +20,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import normalize_text
-from .dataio import EmbeddingStore, read_jsonl
+from .core import example_id_of, normalize_text
+from .dataio import EmbeddingStore, float_array, load_keyed
 from .errors import (
     EmptyText,
     MissingExternalScores,
-    NonFiniteEntry,
     PolyevalError,
     ValidationError,
     ZeroNormVector,
 )
-
-METRIC_IDS = ("bleu", "embed_cosine", "external")
 
 Metric = Callable[[str, str], float]
 
@@ -185,22 +182,8 @@ class ExternalScoreSidecar:
 
 
 def load_external_scores(path: str | Path) -> ExternalScoreSidecar:
-    scores: dict[str, np.ndarray] = {}
-    for lineno, record in read_jsonl(path):
-        example_id = str(record.get("example_id", "")).strip()
-        if not example_id:
-            raise ValidationError(f"{path}:{lineno}: score row missing example_id")
-        if example_id in scores:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate score row for example {example_id!r}"
-            )
-        matrix = np.asarray(record.get("scores", []), dtype=float)
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValidationError(
-                f"{path}:{lineno}: scores must be a nonempty 2-D row-major array"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise NonFiniteEntry(f"{path}:{lineno}: non-finite external score")
-        matrix.setflags(write=False)
-        scores[example_id] = matrix
-    return ExternalScoreSidecar(scores)
+    """Score matrices keyed by example_id, rows outputs and columns references."""
+    def parse(record: dict) -> tuple[str, np.ndarray]:
+        return example_id_of(record), float_array(record.get("scores"), 2, "scores")
+
+    return ExternalScoreSidecar(load_keyed(path, parse, "example"))

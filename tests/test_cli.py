@@ -304,6 +304,21 @@ def test_normalize_unknown_label_fails(workdir, capsys):
     assert "notAType" in capsys.readouterr().err
 
 
+def test_normalize_rejects_repeated_raw_example_id(workdir, capsys):
+    raw = {
+        "example_id": "a",
+        "utterances": [{"speaker": "A", "text": "hi"}],
+        "type_label": "xWant",
+        "inferences": ["rest"],
+    }
+    write_jsonl(workdir / "raw.jsonl", [raw, dict(raw, example_id="b"), raw])
+    code = run(["normalize", "--in", "raw.jsonl", "--source", "generic",
+                "--out", "u.jsonl", "--report", "r.json"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: raw.jsonl:3: duplicate example 'a'\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["raw.jsonl"]
+
+
 # --- diversity / datastats ---------------------------------------------------------
 
 
@@ -347,6 +362,29 @@ def test_diversity_gold_clusters_must_cover_every_example(workdir, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: gold.jsonl: no gold clustering for example 'e1'\n"
+
+
+def test_diversity_rejects_negative_topk(workdir, capsys):
+    make_generations(workdir / "g.jsonl", n=1)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    code = run(["diversity", "--generations", "g.jsonl", "--gold-clusters", "gold.jsonl",
+                "--topk", "-1", "--report", "r.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--topk" in err
+    assert not (workdir / "r.json").exists()
+
+
+def test_diversity_writes_no_clusters_when_the_report_cannot_be_written(workdir, capsys):
+    make_generations(workdir / "g.jsonl", n=1)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    code = run(["diversity", "--generations", "g.jsonl", "--gold-clusters", "gold.jsonl",
+                "--out-clusters", "c.jsonl", "--report", "missing/r.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'missing/r.json'" in err and ".tmp" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["g.jsonl", "gold.jsonl"]
 
 
 def test_datastats_report(workdir):
@@ -427,6 +465,15 @@ def test_stats_mcnemar_deterministic(workdir):
     assert isinstance(block["significant"], bool)
 
 
+def test_stats_mcnemar_rejects_negative_seed(workdir, capsys):
+    write_jsonl(workdir / "ann.jsonl", annotation_rows())
+    argv = ["stats", "mcnemar", "--in", "ann.jsonl", "--seed", "-1", "--report", "m.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0\n"
+    assert not (workdir / "m.json").exists()
+
+
 def test_stats_prop(workdir):
     assert run(["stats", "prop", "--successes", "93,75", "--trials", "100,100",
                 "--report", "p.json"]) == 0
@@ -453,6 +500,20 @@ def test_stats_ttest(workdir):
         assert pair["p_adjusted"] == pytest.approx(
             min(1.0, pair["p_value"] * 3), rel=1e-7
         )
+
+
+def test_stats_ttest_rejects_repeated_name(workdir, capsys):
+    write_jsonl(
+        workdir / "scores.jsonl",
+        [
+            {"name": "m1", "values": [0.8, 0.7, 0.9]},
+            {"name": "m2", "values": [0.75, 0.72, 0.8]},
+            {"name": "m1", "values": [0.5, 0.45, 0.6]},
+        ],
+    )
+    assert run(["stats", "ttest", "--scores", "scores.jsonl", "--report", "t.json"]) == 1
+    assert capsys.readouterr().err == "error: scores.jsonl:3: duplicate name 'm1'\n"
+    assert not (workdir / "t.json").exists()
 
 
 # --- decode ------------------------------------------------------------------------
@@ -616,6 +677,29 @@ def test_decode_poly_rejects_bad_args(workdir, capsys, args, message):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert not (workdir / "g.jsonl").exists()
+
+
+@pytest.mark.parametrize("strategy, args", [
+    ("poly", ["--seed", "-1"]),
+    ("poly", ["--temperature", "nan"]),
+    ("poly", ["--temperature", "inf"]),
+    ("dbs", ["--groups", "2", "--beams", "4", "--penalty", "nan"]),
+    ("dbs", ["--groups", "2", "--beams", "4", "--penalty", "inf"]),
+    ("beam", ["--rep-penalty", "nan"]),
+    ("beam", ["--rep-penalty", "inf"]),
+    ("poly", ["--rep-penalty", "nan"]),
+    ("poly", ["--rep-penalty", "inf"]),
+], ids=["seed_negative", "temperature_nan", "temperature_inf", "penalty_nan",
+        "penalty_inf", "beam_rep_penalty_nan", "beam_rep_penalty_inf",
+        "poly_rep_penalty_nan", "poly_rep_penalty_inf"])
+def test_decode_rejects_out_of_range_numbers(workdir, capsys, strategy, args):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", strategy] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 
 def test_report_to_stdout(workdir, capsys):

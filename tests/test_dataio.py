@@ -16,6 +16,7 @@ from polyeval.dataio import (
     normalize,
     text_key,
     validate_raw_record,
+    write_files,
     write_jsonl,
 )
 from polyeval.errors import (
@@ -304,3 +305,15 @@ def test_write_jsonl_follows_symlinks_and_writes_pipes_in_place(tmp_path):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_write_files_is_all_or_nothing(tmp_path):
+    first = tmp_path / "first.jsonl"
+    first.write_text("old\n")
+    with pytest.raises(FileNotFoundError):
+        write_files({first: "new\n", tmp_path / "missing" / "second.json": "{}\n"})
+    assert first.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["first.jsonl"]
+    write_files({first: "new\n", tmp_path / "second.json": "{}\n"})
+    assert first.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "second.json"]
