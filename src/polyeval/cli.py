@@ -3,7 +3,10 @@ and decode subcommands, all emitting machine-readable JSON reports.
 
 Exit codes: 0 success, 1 validation error (bad input data), 2 I/O error.
 Every report echoes the effective configuration (defaults made explicit) and
-is byte-identical across reruns with the same inputs and seeds.
+is byte-identical across reruns with the same inputs and seeds.  A command
+returns only its body, warnings and outputs; ``run`` assembles the report,
+and its ``config`` is every parsed flag but ``--report``, so the parser is
+the one place a flag is stated.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from .errors import (
     PolyevalError,
     ValidationError,
 )
-from .report import make_report, render_report
+from .report import render_report
 from .scoring import corpus_score, top1_corpus
 from .stats import (
     AnnotationTable,
@@ -56,6 +59,7 @@ from .stats import (
     chi_square_proportions,
     cohen_kappa,
     gwet_ac1,
+    check_alpha,
     paired_t_bonferroni,
     resolve_and_repeat,
 )
@@ -106,22 +110,12 @@ def _cmd_normalize(args) -> tuple:
     examples = list(load_keyed(args.infile, parse, "example").values())
     records = [example_to_record(e) for e in examples if e is not None]
     by_type = Counter(e.inference_type.value for e in examples if e is not None)
-    report = make_report(
-        "normalize",
-        {
-            "in": args.infile,
-            "source": args.source,
-            "out": args.out,
-            "seed": args.seed,
-        },
-        {
-            "examples": len(records),
-            "excluded": len(examples) - len(records),
-            "by_type": dict(sorted(by_type.items())),
-        },
-        warnings=[],
-    )
-    return report, {args.out: records}
+    body = {
+        "examples": len(records),
+        "excluded": len(examples) - len(records),
+        "by_type": dict(sorted(by_type.items())),
+    }
+    return body, [], {args.out: records}
 
 
 # --- eval -------------------------------------------------------------------
@@ -146,25 +140,23 @@ def _cmd_eval(args) -> tuple:
 
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     external = load_external_scores(args.external_scores) if args.external_scores else None
-    clusters = load_clusters(args.clusters) if args.clusters else None
+    clusters = load_clusters(args.clusters) if args.clusters is not None else None
 
-    metric_id = args.metric
-    if metric_id == "external":
+    if args.metric == "external":
         if external is None:
             raise ValidationError("--metric external requires --external-scores")
         metric = None
     else:
         metric = make_metric(
-            "embed_cosine" if metric_id == "embed" else metric_id, embeddings
+            "embed_cosine" if args.metric == "embed" else args.metric, embeddings
         )
         external = None
 
     config = EvalConfig(
         top_k=args.topk,
-        selection={"max": "maximum"}.get(args.selection, args.selection),
-        matching={"max": "maximum"}.get(args.matching, args.matching),
-        cluster_constrained=args.clusters is not None and args.topk > 1,
-        coverage_cap=not args.no_coverage_cap,
+        selection=args.selection,
+        matching=args.matching,
+        coverage_cap=args.coverage_cap,
         seed=args.seed,
     )
 
@@ -212,29 +204,10 @@ def _cmd_eval(args) -> tuple:
                 for s in result.example_scores
             ],
         }
-    if metric_id == "bleu":
+    if args.metric == "bleu":
         body = _scale_bleu(body)
         body["metric_notes"] = BLEU_NOTES
-
-    report = make_report(
-        "eval",
-        {
-            "examples": args.examples,
-            "generations": args.generations,
-            "metric": metric_id,
-            "topk": args.topk,
-            "selection": config.selection,
-            "matching": config.matching,
-            "clusters": args.clusters,
-            "coverage_cap": config.coverage_cap,
-            "embeddings": args.embeddings,
-            "external_scores": args.external_scores,
-            "seed": args.seed,
-        },
-        body,
-        warnings,
-    )
-    return report, {}
+    return body, warnings, {}
 
 
 # --- diversity ---------------------------------------------------------------
@@ -294,22 +267,9 @@ def _cmd_diversity(args) -> tuple:
     warnings = []
     if dropped:
         warnings.append(f"dropped_duplicate_outputs:{dropped}")
-    report = make_report(
-        "diversity",
-        {
-            "generations": args.generations,
-            "embeddings": args.embeddings,
-            "tau": args.tau,
-            "topk": args.topk,
-            "gold_clusters": args.gold_clusters,
-            "out_clusters": args.out_clusters,
-        },
-        body,
-        warnings,
-    )
     clusters = [{"example_id": eid, "clusters": [list(g) for g in clusterings[eid]]}
                 for eid in sorted(clusterings)]
-    return report, {args.out_clusters: clusters} if args.out_clusters else {}
+    return body, warnings, {args.out_clusters: clusters} if args.out_clusters else {}
 
 
 # --- datastats ----------------------------------------------------------------
@@ -319,13 +279,7 @@ def _cmd_datastats(args) -> tuple:
     examples = _load_examples(args.examples)
     table = ngram_uniqueness(examples)
     overall = table.pop("_overall")
-    report = make_report(
-        "datastats",
-        {"examples": args.examples},
-        {"per_type": table, "overall": overall},
-        warnings=[],
-    )
-    return report, {}
+    return {"per_type": table, "overall": overall}, [], {}
 
 
 # --- stats ---------------------------------------------------------------------
@@ -374,8 +328,7 @@ def _cmd_stats_agree(args) -> tuple:
             "kappa": cohen_kappa(pairs),
             "n_items": len(pairs),
         }
-    report = make_report("stats.agree", {"in": args.infile}, {"tasks": body}, [])
-    return report, {}
+    return {"tasks": body}, [], {}
 
 
 def _cmd_stats_mcnemar(args) -> tuple:
@@ -416,18 +369,7 @@ def _cmd_stats_mcnemar(args) -> tuple:
             "p_min": min(result.p_values),
             "n_items": len(shared),
         }
-    report = make_report(
-        "stats.mcnemar",
-        {
-            "in": args.infile,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "alpha": args.alpha,
-        },
-        {"tasks": body},
-        [],
-    )
-    return report, {}
+    return {"tasks": body}, [], {}
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -438,24 +380,22 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_stats_prop(args) -> tuple:
-    successes = _parse_int_list(args.successes, "--successes")
-    trials = _parse_int_list(args.trials, "--trials")
-    statistic, p_value = chi_square_proportions(successes, trials)
-    report = make_report(
-        "stats.prop",
-        {"successes": successes, "trials": trials, "alpha": args.alpha},
-        {
-            "statistic": statistic,
-            "p_value": p_value,
-            "df": len(trials) - 1,
-            "significant": p_value < args.alpha,
-        },
-        [],
-    )
-    return report, {}
+    check_alpha(args.alpha)
+    args.successes = _parse_int_list(args.successes, "--successes")
+    args.trials = _parse_int_list(args.trials, "--trials")
+    statistic, p_value = chi_square_proportions(args.successes, args.trials)
+    body = {
+        "statistic": statistic,
+        "p_value": p_value,
+        "df": len(args.trials) - 1,
+        "significant": p_value < args.alpha,
+    }
+    return body, [], {}
 
 
 def _cmd_stats_ttest(args) -> tuple:
+    check_alpha(args.alpha)
+
     def parse(record: dict) -> tuple:
         return get_field(record, "name", str), float_array(record.get("values"), 1, "values")
 
@@ -475,25 +415,21 @@ def _cmd_stats_ttest(args) -> tuple:
             for r in results
         ],
     }
-    report = make_report(
-        "stats.ttest",
-        {"scores": args.scores, "m": args.m, "alpha": args.alpha},
-        body,
-        [],
-    )
-    return report, {}
+    return body, [], {}
 
 
 # --- decode -----------------------------------------------------------------
 
 
 def _cmd_decode(args) -> tuple:
-    lm = load_ngram_lm(args.lm)
-    examples = _load_examples(args.examples)
+    if args.seed < 0:
+        raise ValidationError("seed must be >= 0")
     poly = args.strategy == "poly"
     dbs = args.strategy == "dbs"
-    rep_default = 5.0 if poly else 1.0
-    rep_penalty = rep_default if args.rep_penalty is None else args.rep_penalty
+    if args.rep_penalty is None:
+        args.rep_penalty = 5.0 if poly else 1.0
+    lm = load_ngram_lm(args.lm)
+    examples = _load_examples(args.examples)
 
     sequences = None
     if not poly or args.poly_from_beams:
@@ -501,7 +437,7 @@ def _cmd_decode(args) -> tuple:
             beams=max(args.beams, args.runs) if poly else args.beams,
             groups=args.groups if dbs else 1,
             diversity_penalty=args.penalty if dbs else 0.0,
-            repetition_penalty=rep_penalty,
+            repetition_penalty=args.rep_penalty,
             max_len=args.max_len,
         )
         # the scorer sees only the prefix, never the example, so one search
@@ -529,7 +465,7 @@ def _cmd_decode(args) -> tuple:
                 seed=args.seed,
                 salt=_stable_salt(example.example_id),
                 max_len=args.max_len,
-                repetition_penalty=rep_penalty,
+                repetition_penalty=args.rep_penalty,
             )
         elif poly:
             gen_set, warnings = pack_runs(example.example_id, sequences)
@@ -547,30 +483,16 @@ def _cmd_decode(args) -> tuple:
                 "runs": [list(run) for run in gen_set.runs],
             }
         )
-    report = make_report(
-        "decode",
-        {
-            "lm": args.lm,
-            "examples": args.examples,
-            "strategy": args.strategy,
-            "beams": args.beams,
-            "groups": args.groups,
-            "penalty": args.penalty,
-            "rep_penalty": rep_penalty,
-            "runs": args.runs,
-            "temperature": args.temperature,
-            "max_len": args.max_len,
-            "seed": args.seed,
-            "poly_from_beams": args.poly_from_beams,
-            "out": args.out,
-        },
-        {"examples": len(records)},
-        warnings=[f"{name}:{count}" for name, count in sorted(warning_counts.items())],
-    )
-    return report, {args.out: records}
+    warnings = [f"{name}:{count}" for name, count in warning_counts.items()]
+    return {"examples": len(records)}, warnings, {args.out: records}
 
 
 # --- parser -----------------------------------------------------------------
+
+
+def _maximum(name: str) -> str:
+    """``max`` is short for ``maximum``."""
+    return "maximum" if name == "max" else name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", required=True)
     p.add_argument("--metric", default="bleu", choices=("bleu", "embed", "external"))
     p.add_argument("--topk", type=int, default=1)
-    p.add_argument("--selection", default="maximum", choices=("maximum", "max", "order"))
-    p.add_argument(
-        "--matching", default="bipartite", choices=("bipartite", "maximum", "max")
-    )
+    p.add_argument("--selection", default="maximum", type=_maximum,
+                   choices=("maximum", "order"), help="max is short for maximum")
+    p.add_argument("--matching", default="bipartite", type=_maximum,
+                   choices=("bipartite", "maximum"), help="max is short for maximum")
     p.add_argument("--clusters", default=None, help="cluster-constrained evaluation")
-    p.add_argument("--no-coverage-cap", action="store_true")
+    p.add_argument("--no-coverage-cap", dest="coverage_cap", action="store_false")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--external-scores", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -716,6 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsed values that are not flags of the subcommand
+_NOT_FLAGS = ("command", "stats_command", "func", "report")
+
+
 def run(argv: list[str]) -> int:
     """Run one subcommand.  Its JSONL outputs and report are rendered in full
     before any file is opened, then written all or none; a report without
@@ -723,7 +649,16 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report, outputs = args.func(args)
+        body, warnings, outputs = args.func(args)
+        report = {
+            "tool": (f"stats.{args.stats_command}" if args.command == "stats"
+                     else args.command),
+            "version": __version__,
+            "config": {("in" if name == "infile" else name): value
+                       for name, value in vars(args).items() if name not in _NOT_FLAGS},
+            "warnings": sorted(warnings),
+            **body,
+        }
         texts = {path: jsonl_text(records) for path, records in outputs.items()}
         report_text = render_report(report)
         if args.report is not None:

@@ -205,7 +205,6 @@ class EvalConfig:
     top_k: int = 1
     selection: str = "maximum"  # maximum | order
     matching: str = "bipartite"  # bipartite | maximum
-    cluster_constrained: bool = False
     coverage_cap: bool = True
     seed: int = 0
 
@@ -220,18 +219,29 @@ class EvalConfig:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
-_JSON_NAMES = {str: "string", list: "list", dict: "object"}
+NUMBER = (int, float)
+_JSON_NAMES = {
+    str: "string", list: "list", dict: "object", int: "integer", NUMBER: "number",
+}
+
+
+def _is(value, kind) -> bool:
+    """``isinstance``, except that JSON true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def get_field(raw: dict, name: str, kind: type, default=None, of: type | None = None):
     """``raw[name]``, or ``default`` when it is absent.  Either must be a
-    ``kind``; with ``of``, a list whose every item is an ``of``."""
+    ``kind`` (``str``, ``list``, ``dict``, ``int`` or ``NUMBER``); with ``of``,
+    a list whose every item, or an object whose every value, is an ``of``."""
     value = raw.get(name, default)
-    if not isinstance(value, kind) or (of and any(not isinstance(v, of) for v in value)):
+    items = value.values() if isinstance(value, dict) else value
+    if not _is(value, kind) or (of and not all(_is(v, of) for v in items)):
         if name not in raw:
             raise ValidationError(f"missing field {name!r}")
-        items = f" of {_JSON_NAMES[of]}s" if of else ""
-        raise ValidationError(f"{name} must be a {_JSON_NAMES[kind]}{items}")
+        noun = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[of]}s" if of else "")
+        article = "an" if noun[0] in "aeiou" else "a"
+        raise ValidationError(f"{name} must be {article} {noun}")
     return value
 
 

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .core import GenerationMode, GenerationSet, make_generation_set
-from .errors import UnknownContext, UnparseableSequence, ValidationError
+from .core import NUMBER, GenerationMode, GenerationSet, get_field, make_generation_set
+from .errors import PolyevalError, UnknownContext, UnparseableSequence, ValidationError
 
 
 class TokenScorer(Protocol):
@@ -425,23 +425,27 @@ class NgramLM:
 
 def load_ngram_lm(path: str | Path) -> NgramLM:
     """Load a toy LM config: {"order", "vocab", "end_token", "cond": [
-    {"context": [...], "probs": {token: p}}, ...]}."""
+    {"context": [...], "probs": {token: p}}, ...]}.  A field of the wrong
+    JSON type is rejected, never coerced, and every error names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: malformed LM config: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValidationError(f"{path}: LM config must be a JSON object")
-    table = {}
-    for row in config.get("cond", []):
-        context = tuple(str(t) for t in row.get("context", []))
-        if context in table:
-            raise ValidationError(f"{path}: duplicate context {context!r}")
-        table[context] = {str(t): float(p) for t, p in row.get("probs", {}).items()}
-    return NgramLM(
-        order=int(config.get("order", 1)),
-        vocab=[str(t) for t in config.get("vocab", [])],
-        table=table,
-        end_token=str(config.get("end_token", "</s>")),
-    )
+    try:
+        if not isinstance(config, dict):
+            raise ValidationError("LM config must be a JSON object")
+        table = {}
+        for row in get_field(config, "cond", list, [], of=dict):
+            context = tuple(get_field(row, "context", list, [], of=str))
+            if context in table:
+                raise ValidationError(f"duplicate context {context!r}")
+            table[context] = get_field(row, "probs", dict, {}, of=NUMBER)
+        return NgramLM(
+            order=get_field(config, "order", int, 1),
+            vocab=get_field(config, "vocab", list, [], of=str),
+            table=table,
+            end_token=get_field(config, "end_token", str, "</s>"),
+        )
+    except PolyevalError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

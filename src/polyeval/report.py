@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 
-from . import __version__
 from .errors import ValidationError
 
 
@@ -51,13 +50,3 @@ def render_report(report: dict) -> str:
     pieces.append("\n")
     return "".join(pieces)
 
-
-def make_report(tool: str, config: dict, body: dict, warnings: list[str]) -> dict:
-    report = {
-        "tool": tool,
-        "version": __version__,
-        "config": config,
-        "warnings": sorted(warnings),
-    }
-    report.update(body)
-    return report

@@ -271,7 +271,9 @@ def corpus_score(
     clusters: Mapping[str, Sequence[Sequence[int]]] | None = None,
     external: ExternalScoreSidecar | None = None,
 ) -> CorpusScore:
-    """Reference-weighted corpus score over set evaluations (top_k > 1)."""
+    """Reference-weighted corpus score over set evaluations (top_k > 1).
+    With ``clusters``, every example is scored cluster-constrained and must
+    have a clustering."""
 
     def one(example: Example) -> ExampleScore:
         gs = generations.get(example.example_id)
@@ -281,8 +283,8 @@ def corpus_score(
             )
         outputs = select_outputs(gs, config.top_k)
         example_clusters = None
-        if config.cluster_constrained:
-            if clusters is None or example.example_id not in clusters:
+        if clusters is not None:
+            if example.example_id not in clusters:
                 raise ValidationError(
                     f"example {example.example_id!r}: cluster-constrained "
                     "evaluation needs a clustering"

@@ -165,6 +165,12 @@ class RepeatReport:
     p_values: tuple[float, ...]
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def resolve_and_repeat(
     side_x: Sequence[tuple[bool, bool]],
     side_y: Sequence[tuple[bool, bool]],
@@ -187,6 +193,7 @@ def resolve_and_repeat(
         raise ValidationError("repeats must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
+    check_alpha(alpha)
     rates_x = []
     rates_y = []
     discordances = []
@@ -260,6 +267,8 @@ def paired_t_bonferroni(
     pairs = list(itertools.combinations(range(len(items)), 2))
     if m is None:
         m = len(pairs)
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
     results = []
     for i, j in pairs:
         name_x, xs = items[i]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,9 @@ from polyeval.core import validate_generation_set
 from polyeval.dataio import read_jsonl, text_key, write_jsonl
 from polyeval.decode import NgramLM
 from polyeval.stats import cohen_kappa, gwet_ac1
+
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
 
 
 def write_lines(path, lines):
@@ -516,6 +520,41 @@ def test_stats_ttest_rejects_repeated_name(workdir, capsys):
     assert not (workdir / "t.json").exists()
 
 
+SIGNIFICANCE_ARGV = {
+    "mcnemar": ["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "5"],
+    "prop": ["stats", "prop", "--successes", "9,7", "--trials", "10,10"],
+    "ttest": ["stats", "ttest", "--scores", "scores.jsonl"],
+}
+
+
+def write_significance_inputs(workdir):
+    write_jsonl(workdir / "ann.jsonl", annotation_rows())
+    write_jsonl(workdir / "scores.jsonl", [
+        {"name": "m1", "values": [0.8, 0.7, 0.9, 0.65, 0.85]},
+        {"name": "m2", "values": [0.75, 0.72, 0.8, 0.6, 0.8]},
+    ])
+
+
+@pytest.mark.parametrize("command", SIGNIFICANCE_ARGV)
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1", "0", "1"])
+def test_stats_rejects_alpha_outside_unit_interval(workdir, capsys, command, alpha):
+    write_significance_inputs(workdir)
+    argv = SIGNIFICANCE_ARGV[command] + [f"--alpha={alpha}", "--report", "r.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must be in (0, 1), got ") and err.count("\n") == 1
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_stats_ttest_rejects_m_below_1(workdir, capsys, m):
+    write_significance_inputs(workdir)
+    argv = SIGNIFICANCE_ARGV["ttest"] + ["--m", m, "--report", "r.json"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: m must be >= 1, got {m}\n"
+    assert not (workdir / "r.json").exists()
+
+
 # --- decode ------------------------------------------------------------------------
 
 
@@ -699,6 +738,50 @@ def test_decode_rejects_out_of_range_numbers(workdir, capsys, strategy, args):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+@pytest.mark.parametrize("strategy", ["beam", "dbs", "poly"])
+def test_decode_rejects_negative_seed_for_every_strategy(workdir, capsys, strategy):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    make_examples(workdir / "u.jsonl", n=1)
+    argv = DECODE_BASE + ["--strategy", strategy, "--beams", "4", "--groups", "2",
+                          "--seed", "-1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lm: lm.update(order="x"), "order must be an integer"),
+    (lambda lm: lm.update(order=2.7), "order must be an integer"),
+    (lambda lm: lm.update(order=True), "order must be an integer"),
+    (lambda lm: lm.update(vocab="abc"), "vocab must be a list of strings"),
+    (lambda lm: lm["vocab"].append(5), "vocab must be a list of strings"),
+    (lambda lm: lm.update(end_token=5), "end_token must be a string"),
+    (lambda lm: lm.update(cond={}), "cond must be a list of objects"),
+    (lambda lm: lm["cond"].insert(0, 5), "cond must be a list of objects"),
+    (lambda lm: lm["cond"][1].update(context="they"),
+     "context must be a list of strings"),
+    (lambda lm: lm["cond"][1].update(context=[5]), "context must be a list of strings"),
+    (lambda lm: lm["cond"][0].update(probs=[1.0]),
+     "probs must be an object of numbers"),
+    (lambda lm: lm["cond"][0]["probs"].update(they="0.5x"),
+     "probs must be an object of numbers"),
+    (lambda lm: lm["cond"][0]["probs"].update(they=True),
+     "probs must be an object of numbers"),
+    (lambda lm: lm["cond"][0]["probs"].update(they=None),
+     "probs must be an object of numbers"),
+], ids=["order_string", "order_float", "order_bool", "vocab_string", "vocab_number",
+        "end_token_number", "cond_object", "cond_number", "context_string",
+        "context_number", "probs_list", "prob_string", "prob_bool", "prob_null"])
+def test_decode_rejects_lm_field_of_wrong_type(workdir, capsys, edit, message):
+    lm = json.loads((GOLDEN / "toy_mono.lm.json").read_text())
+    edit(lm)
+    (workdir / "lm.json").write_text(json.dumps(lm))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", "beam", "--beams", "4"]) == 1
+    assert capsys.readouterr().err == f"error: lm.json: {message}\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 

@@ -1,0 +1,142 @@
+"""The flag contract of every subcommand, walked from ``build_parser()`` so a
+flag added later is covered without a new test.
+
+- A report's ``config`` echoes every flag of its subcommand but ``--report``,
+  resolved: ``infile`` is echoed as ``in``, aliases and strategy-dependent
+  defaults are replaced by the values the run used.
+- Every ``int`` or ``float`` flag, given NaN, an infinity, -1, 0 or a word,
+  either runs or fails cleanly: exit 1 or 2, no traceback, exactly one
+  stderr line with ``error:``, and no output or report file.
+"""
+import argparse
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from polyeval.cli import build_parser, run
+from polyeval.dataio import write_jsonl
+
+GOLDEN = str(Path(__file__).resolve().parent / "fixtures" / "golden")
+UNIFIED = f"{GOLDEN}/unified.jsonl"
+G_DBS = f"{GOLDEN}/g_dbs.jsonl"
+
+FORMS = {
+    "normalize": ["normalize", "--in", f"{GOLDEN}/raw_corpus.jsonl",
+                  "--source", "generic", "--out", "out.jsonl"],
+    "eval_top1": ["eval", "--examples", UNIFIED, "--generations", G_DBS,
+                  "--selection", "max"],
+    "eval_topk": ["eval", "--examples", UNIFIED, "--generations", G_DBS,
+                  "--topk", "5", "--matching", "max", "--no-coverage-cap",
+                  "--clusters", f"{GOLDEN}/clusters.jsonl"],
+    "diversity": ["diversity", "--generations", G_DBS,
+                  "--embeddings", f"{GOLDEN}/embeddings.jsonl",
+                  "--out-clusters", "out.jsonl"],
+    "datastats": ["datastats", "--examples", UNIFIED],
+    "stats_agree": ["stats", "agree", "--in", "ann.jsonl"],
+    "stats_mcnemar": ["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "5"],
+    "stats_prop": ["stats", "prop", "--successes", "9,7", "--trials", "10,10"],
+    "stats_ttest": ["stats", "ttest", "--scores", "scores.jsonl"],
+    "decode_beam": ["decode", "--lm", f"{GOLDEN}/toy_mono.lm.json", "--examples", UNIFIED,
+                    "--strategy", "beam", "--beams", "4", "--out", "out.jsonl"],
+    "decode_dbs": ["decode", "--lm", f"{GOLDEN}/toy_mono.lm.json", "--examples", UNIFIED,
+                   "--strategy", "dbs", "--beams", "4", "--groups", "2",
+                   "--out", "out.jsonl"],
+    "decode_poly": ["decode", "--lm", f"{GOLDEN}/toy_poly.lm.json", "--examples", UNIFIED,
+                    "--strategy", "poly", "--runs", "2", "--out", "out.jsonl"],
+}
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "abc"]
+
+
+def _subparser(argv):
+    """The parser of the subcommand (or stats subcommand) that argv runs."""
+    parser = build_parser()
+    for word in argv[: 2 if argv[0] == "stats" else 1]:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[word]
+    return parser
+
+
+def _flags(argv):
+    return [a for a in _subparser(argv)._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    labels = ["always_likely", "never_farfetched", "sometimes_possible"]
+    write_jsonl(tmp_path / "ann.jsonl", [
+        {"task": "reasonability", "system": system, "item_id": f"i{i}",
+         "annotator": annotator,
+         "label": labels[(i * (1 + (system == "Y")) + (annotator == "B")) % 3]}
+        for i in range(12) for system in ("X", "Y") for annotator in ("A", "B")
+    ])
+    write_jsonl(tmp_path / "scores.jsonl", [
+        {"name": "m1", "values": [0.8, 0.7, 0.9, 0.65, 0.85]},
+        {"name": "m2", "values": [0.75, 0.72, 0.8, 0.6, 0.8]},
+        {"name": "m3", "values": [0.5, 0.45, 0.6, 0.4, 0.55]},
+    ])
+    return tmp_path
+
+
+def _run(argv) -> tuple[int, str]:
+    """cli.run in-process; argparse's exit becomes its exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_config_echoes_every_flag_but_report(workdir, form):
+    argv = FORMS[form]
+    assert run(argv + ["--report", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    dests = {"in" if a.dest == "infile" else a.dest for a in _flags(argv)}
+    assert set(report["config"]) == dests - {"report"}
+    assert report["tool"] == (".".join(argv[:2]) if argv[0] == "stats" else argv[0])
+
+
+def _config(workdir, form, *extra):
+    assert run(FORMS[form] + list(extra) + ["--report", "r.json"]) == 0
+    return json.loads((workdir / "r.json").read_text())["config"]
+
+
+def test_config_echo_is_resolved(workdir):
+    assert _config(workdir, "eval_top1")["selection"] == "maximum"
+    config = _config(workdir, "eval_topk")
+    assert config["matching"] == "maximum"
+    assert config["coverage_cap"] is False
+    assert _config(workdir, "decode_poly")["rep_penalty"] == 5.0
+    assert _config(workdir, "decode_beam")["rep_penalty"] == 1.0
+    assert _config(workdir, "decode_beam", "--rep-penalty", "2")["rep_penalty"] == 2.0
+    config = _config(workdir, "stats_prop")
+    assert (config["successes"], config["trials"]) == ([9, 7], [10, 10])
+    assert _config(workdir, "normalize")["in"].endswith("raw_corpus.jsonl")
+
+
+NUMBER_CASES = [
+    pytest.param(form, flag, value, id=f"{form}{flag}={value}")
+    for form, argv in FORMS.items()
+    for action in _flags(argv) if action.type in (int, float)
+    for flag in action.option_strings
+    for value in BAD_NUMBERS
+]
+
+
+@pytest.mark.parametrize("form, flag, value", NUMBER_CASES)
+def test_number_flag_runs_or_fails_cleanly(workdir, form, flag, value):
+    before = sorted(p.name for p in workdir.iterdir())
+    code, err = _run(FORMS[form] + [f"{flag}={value}", "--report", "r.json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert sorted(p.name for p in workdir.iterdir()) == before

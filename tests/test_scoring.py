@@ -334,6 +334,19 @@ def test_missing_generations_error():
         top1_corpus([example_of("e0", ["a"])], {}, exact_match)
 
 
+def test_corpus_score_constrains_exactly_when_clusters_are_given():
+    ex = example_of("e0", ["a", "b"])
+    gens = {"e0": gen("e0", [["a", "b"]], mode="monomorphic_beam")}
+    config = EvalConfig(top_k=2)
+    free = corpus_score([ex], gens, config, exact_match)
+    pooled = corpus_score([ex], gens, config, exact_match, clusters={"e0": [[0, 1]]})
+    # one cluster claims one reference: coverage, not the matched score, drops
+    assert (free.overall, pooled.overall) == (1.0, 0.5)
+    assert pooled.example_scores[0].n_outs == 1
+    with pytest.raises(ValidationError, match="'e0': cluster-constrained"):
+        corpus_score([ex], gens, config, exact_match, clusters={"e9": [[0, 1]]})
+
+
 # --- output selection ---------------------------------------------------------
 
 
