@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from collections import Counter
 
@@ -135,6 +136,8 @@ def _scale_bleu(body: dict) -> dict:
 
 
 def _cmd_eval(args) -> tuple:
+    if args.clusters is not None and args.topk <= 1:
+        raise ValidationError("--clusters needs --topk > 1")
     examples = _load_examples(args.examples)
     generations, dropped = _load_generations(args.generations)
 
@@ -422,8 +425,17 @@ def _cmd_stats_ttest(args) -> tuple:
 
 
 def _cmd_decode(args) -> tuple:
+    # checked for every strategy, also where the strategy ignores the flag
     if args.seed < 0:
         raise ValidationError("seed must be >= 0")
+    if args.runs < 1:
+        raise ValidationError("need at least one run")
+    for flag, value in (("--beams", args.beams), ("--groups", args.groups)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
+    for flag, value in (("--penalty", args.penalty), ("--temperature", args.temperature)):
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{flag} must be >= 0 and finite, got {value}")
     poly = args.strategy == "poly"
     dbs = args.strategy == "dbs"
     if args.rep_penalty is None:

@@ -9,21 +9,27 @@ from polyeval.assignment import mean_assigned, solve_max
 from polyeval.errors import NonFiniteEntry, ValidationError
 
 
-def brute_force(matrix):
-    """Exhaustive oracle for the tie contract: the optimum over injective
-    row->column mappings, then the lexicographically smallest row-sorted pair
-    list among mappings whose total is within 1e-9 of it."""
+def assignments(matrix):
+    """(total, row-sorted pairs) of every injective row->column mapping of
+    size min(m, n)."""
     a = np.asarray(matrix, dtype=float)
     m, n = a.shape
     if m <= n:
         row_sets = [tuple(range(m))]
     else:
         row_sets = list(itertools.combinations(range(m), n))
-    candidates = [
+    return [
         (sum(a[r, c] for r, c in zip(rows, perm)), tuple(zip(rows, perm)))
         for rows in row_sets
         for perm in itertools.permutations(range(n), len(rows))
     ]
+
+
+def brute_force(matrix):
+    """Exhaustive oracle for the tie contract: the optimum over injective
+    row->column mappings, then the lexicographically smallest row-sorted pair
+    list among mappings whose total is within 1e-9 of it."""
+    candidates = assignments(matrix)
     best_total = max(total for total, _ in candidates)
     pairs, total = min(
         (pairs, total) for total, pairs in candidates if total >= best_total - 1e-9
@@ -99,6 +105,17 @@ def test_matches_brute_force_on_tie_dense_matrices(m, n, data):
     expect_total, expect_pairs = brute_force(a)
     assert res.objective == pytest.approx(expect_total, abs=1e-9)
     assert res.pairs == expect_pairs
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 8))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_unique_exactly_when_one_assignment_reaches_the_optimum(m, n, data):
+    a = tie_dense_matrix(data, m, n)
+    totals = [total for total, _ in assignments(a)]
+    best = max(totals)
+    assert solve_max(a).unique == (sum(t >= best - 1e-9 for t in totals) == 1)
 
 
 def test_tie_break_prefers_lexicographically_smallest():

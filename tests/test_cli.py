@@ -238,6 +238,17 @@ def test_eval_rejects_non_integer_cluster_index(workdir, capsys, index):
     assert f"c.jsonl:1: cluster index {index} is not an integer" in err
 
 
+@pytest.mark.parametrize("clusters", ["c.jsonl", "missing.jsonl"])
+def test_eval_clusters_need_topk_above_1(workdir, capsys, clusters):
+    # top-1 scoring has no set to constrain; the clusters file is not read
+    make_examples(workdir / "u.jsonl")
+    make_generations(workdir / "g.jsonl")
+    make_eval_sidecars(workdir)
+    assert run(EVAL_BASE + ["--topk", "1", "--clusters", clusters]) == 1
+    assert capsys.readouterr().err == "error: --clusters needs --topk > 1\n"
+    assert not (workdir / "r.json").exists()
+
+
 @pytest.mark.parametrize("topk", ["1", "5"])
 def test_eval_counts_orphan_generations(workdir, topk):
     make_examples(workdir / "u.jsonl", n=1)
@@ -749,6 +760,32 @@ def test_decode_rejects_negative_seed_for_every_strategy(workdir, capsys, strate
                           "--seed", "-1"]
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+@pytest.mark.parametrize("strategy, flag, message", [
+    ("beam", "--groups=-1", "--groups must be >= 1, got -1"),
+    ("beam", "--groups=0", "--groups must be >= 1, got 0"),
+    ("poly", "--beams=-1", "--beams must be >= 1, got -1"),
+    ("poly", "--groups=0", "--groups must be >= 1, got 0"),
+    ("beam", "--penalty=nan", "--penalty must be >= 0 and finite, got nan"),
+    ("beam", "--penalty=-1", "--penalty must be >= 0 and finite, got -1.0"),
+    ("poly", "--penalty=inf", "--penalty must be >= 0 and finite, got inf"),
+    ("beam", "--temperature=nan", "--temperature must be >= 0 and finite, got nan"),
+    ("dbs", "--temperature=-1", "--temperature must be >= 0 and finite, got -1.0"),
+    ("beam", "--runs=0", "need at least one run"),
+    ("dbs", "--runs=-1", "need at least one run"),
+], ids=["beam_groups_negative", "beam_groups_0", "poly_beams_negative", "poly_groups_0",
+        "beam_penalty_nan", "beam_penalty_negative", "poly_penalty_inf",
+        "beam_temperature_nan", "dbs_temperature_negative", "beam_runs_0",
+        "dbs_runs_negative"])
+def test_decode_rejects_out_of_range_flags_the_strategy_ignores(
+        workdir, capsys, strategy, flag, message):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", strategy, "--beams", "4", "--groups", "2",
+                              flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 
