@@ -27,13 +27,16 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonFiniteEntry, ValidationError
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 _TIE_TOL = 1e-9
 _LSAP = "scipy.optimize._lsap"
@@ -84,7 +87,7 @@ def _max_total(matrix: np.ndarray) -> float:
     try:
         rows, cols = _solver()(matrix, maximize=True)
     except ValueError:  # "cost matrix is infeasible"
-        return -np.inf
+        return -math.inf
     return float(matrix[rows, cols].sum())
 
 
@@ -93,7 +96,7 @@ def _is_unique(matrix: np.ndarray, pairs, optimum: float) -> bool:
     assignment) totals less than optimum - 1e-9."""
     forbidden = matrix.copy()
     for r, c in pairs:
-        forbidden[r, c] = -np.inf
+        forbidden[r, c] = -math.inf
         if _max_total(forbidden) >= optimum - _TIE_TOL:
             return False
         forbidden[r, c] = matrix[r, c]
@@ -108,6 +111,8 @@ def _lex_smallest_pairs(matrix: np.ndarray, optimum: float) -> list[tuple[int, i
     running target.  Rows may be skipped only when more rows than columns
     remain (m > n).
     """
+    import numpy as np
+
     m, n = matrix.shape
     size = min(m, n)
     rows = list(range(m))
@@ -152,6 +157,8 @@ def _lex_smallest_pairs(matrix: np.ndarray, optimum: float) -> list[tuple[int, i
 
 def solve_max(matrix) -> Assignment:
     """Injective row->column matching of size min(m, n) maximizing the total."""
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"assignment needs a 2-D matrix, got shape {a.shape}")
@@ -169,5 +176,7 @@ def solve_max(matrix) -> Assignment:
 
 def mean_assigned(matrix, assignment: Assignment) -> float:
     """Arithmetic mean of the matrix entries over the assigned pairs."""
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     return float(sum(a[r, c] for r, c in assignment.pairs) / len(assignment.pairs))

@@ -31,9 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import (
     Example,
@@ -58,6 +56,9 @@ from .errors import (
     UnknownSourceLabel,
     ValidationError,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 RAW_SOURCES = ("convosense", "comfact", "cicero", "reflect", "generic")
 
@@ -398,6 +399,8 @@ def load_keyed(path: str | Path, parse: Callable[[dict], tuple], what: str) -> d
 
 def float_array(value, ndim: int, name: str) -> np.ndarray:
     """A read-only, nonempty ``ndim``-D float array of finite JSON numbers."""
+    import numpy as np
+
     array = np.asarray(value)
     if array.dtype.kind not in "iuf" or array.ndim != ndim or array.size == 0:
         raise ValidationError(f"{name} must be a nonempty {ndim}-D array of numbers")

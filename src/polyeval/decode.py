@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .core import NUMBER, GenerationMode, GenerationSet, get_field, make_generation_set
 from .errors import PolyevalError, UnknownContext, UnparseableSequence, ValidationError
 
@@ -200,7 +198,13 @@ def sample_sequences(
 
     temperature scales log-probabilities before renormalization; 0 selects
     the argmax at every step (ties to the lexicographically smaller token).
+    Each step draws one uniform and inverts the cumulative distribution over
+    the sorted tokens: numpy's own algorithm for ``Generator.choice`` with
+    ``p``, without its per-call checks of ``p``.  tests/test_decode.py pins
+    the draw to ``choice`` on the same stream.
     """
+    import numpy as np
+
     if not (0 <= temperature < math.inf):
         raise ValidationError("temperature must be >= 0 and finite")
     if seed < 0:
@@ -225,14 +229,23 @@ def sample_sequences(
                 )
             step = sorted(step_map.items())
             if temperature == 0:
-                token = max(step, key=lambda kv: kv[1])[0]
+                token, value = max(step, key=lambda kv: kv[1])
                 # max() keeps the first (lexicographically smallest) on ties
             else:
-                logits = np.array([v for _, v in step]) / temperature
-                probs = np.exp(logits - logits.max())
+                # Python division overflows to inf without numpy's warning
+                logits = np.array([v / temperature for _, v in step])
+                top = logits.max()
+                if not math.isfinite(top):  # else inf - inf leaves a NaN cdf
+                    raise ValidationError(
+                        f"temperature {temperature!r} is too small: every token's "
+                        "scaled log-probability overflows; use 0 for greedy decoding"
+                    )
+                probs = np.exp(logits - top)
                 probs /= probs.sum()
-                token = step[int(rng.choice(len(step), p=probs))][0]
-            logprob += dict(step)[token]
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                token, value = step[int(cdf.searchsorted(rng.random(), side="right"))]
+            logprob += value
             tokens += (token,)
             if token == end:
                 finished = True
@@ -415,8 +428,6 @@ class NgramLM:
 
     def logprobs(self, prefix: tuple[str, ...]) -> dict[str, float]:
         context = tuple(prefix[-(self.order - 1) :]) if self.order > 1 else ()
-        if len(prefix) < self.order - 1:
-            context = tuple(prefix)
         try:
             return dict(self._table[context])
         except KeyError:

@@ -7,8 +7,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import Example
 from .dataio import EmbeddingStore
 from .errors import IndexSetMismatch, ValidationError
@@ -24,6 +22,8 @@ def cluster_greedy(
     contains a member with cosine >= tau, otherwise it opens a new cluster.
     Deterministic given the input order, the store, and tau.
     """
+    import numpy as np
+
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
     vectors = []

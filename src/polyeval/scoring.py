@@ -8,14 +8,15 @@ example contributions, so results are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .assignment import mean_assigned, solve_max
 from .core import Example, EvalConfig, GenerationMode, GenerationSet, InferenceType
 from .errors import EmptyCluster, MissingGenerations, ValidationError
 from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 
 def polyagg_from_matrix(matrix: np.ndarray) -> float:
@@ -62,6 +63,8 @@ def _match(
     """Set reducer, after max-pooling output rows into cluster rows when
     ``groups`` is given."""
     if groups is not None:
+        import numpy as np
+
         matrix = np.stack([matrix[group].max(axis=0) for group in groups])
     if matching == "bipartite":
         return polyagg_from_matrix(matrix)

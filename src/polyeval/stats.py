@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateMarginals,
     EmptyTable,
@@ -187,6 +185,8 @@ def resolve_and_repeat(
     significant at alpha.  The repeat streams derive from (seed, repeat), so
     the whole report is a pure function of its inputs.
     """
+    import numpy as np
+
     if len(side_x) != len(side_y):
         raise ValidationError("both sides must annotate the same items")
     if repeats < 1:
@@ -261,6 +261,8 @@ def paired_t_bonferroni(
     ``m`` defaults to the number of comparisons; adjusted p-values are capped
     at 1.  Constant difference vectors are rejected rather than scored.
     """
+    import numpy as np
+
     items = list(vectors.items()) if isinstance(vectors, Mapping) else list(vectors)
     if len(items) < 2:
         raise ValidationError("need at least two score vectors")

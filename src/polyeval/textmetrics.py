@@ -16,9 +16,7 @@ import functools
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import example_id_of, normalize_text
 from .dataio import EmbeddingStore, float_array, load_keyed
@@ -29,6 +27,9 @@ from .errors import (
     ValidationError,
     ZeroNormVector,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
+    import numpy as np
 
 Metric = Callable[[str, str], float]
 
@@ -91,11 +92,13 @@ def exact_match(candidate: str, reference: str) -> float:
     return 1.0 if normalize_text(candidate) == normalize_text(reference) else 0.0
 
 
-_Embedded = tuple[str, np.ndarray, float]
+_Embedded = "tuple[str, np.ndarray, float]"
 
 
 def _embedding(text: str, store: EmbeddingStore) -> _Embedded:
     """The text, its stored vector and the vector's norm."""
+    import numpy as np
+
     vector = store.lookup(text)
     return text, vector, float(np.linalg.norm(vector))
 
@@ -107,7 +110,7 @@ def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
         raise ZeroNormVector(
             f"zero-norm embedding for {(cand_text if nu == 0.0 else ref_text)!r}"
         )
-    return float(np.dot(u, v) / (nu * nv))
+    return float(u.dot(v) / (nu * nv))
 
 
 def embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
@@ -139,6 +142,8 @@ def score_matrix(
     Each distinct text is prepared once, at its first use in row-major order,
     so a failure names the same cell as calling the metric pair by pair.
     """
+    import numpy as np
+
     if not outputs or not references:
         raise ValidationError("score_matrix needs nonempty outputs and references")
     prepare = getattr(metric, "prepare", lambda text: text)

@@ -752,6 +752,20 @@ def test_decode_rejects_out_of_range_numbers(workdir, capsys, strategy, args):
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
+def test_decode_poly_rejects_a_temperature_that_overflows_every_token(workdir, capsys):
+    for name in ("toy_poly.lm.json", "unified.jsonl"):
+        (workdir / name).write_bytes((GOLDEN / name).read_bytes())
+    argv = ["decode", "--lm", "toy_poly.lm.json", "--examples", "unified.jsonl",
+            "--strategy", "poly", "--runs", "3", "--temperature", "5e-324",
+            "--max-len", "12", "--seed", "7", "--out", "g.jsonl", "--report", "r.json"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: temperature 5e-324 is too small: every token's scaled log-probability "
+        "overflows; use 0 for greedy decoding\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["toy_poly.lm.json", "unified.jsonl"]
+
+
 @pytest.mark.parametrize("strategy", ["beam", "dbs", "poly"])
 def test_decode_rejects_negative_seed_for_every_strategy(workdir, capsys, strategy):
     (workdir / "lm.json").write_text(json.dumps(TOY_LM))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyeval.core import GenerationMode
 from polyeval.decode import (
@@ -338,6 +340,48 @@ def test_sample_rejects_bad_args():
     for penalty in (0.5, 0.0, -3.0):
         with pytest.raises(ValidationError, match="repetition penalty must be >= 1"):
             sample_sequences(lm, n=1, repetition_penalty=penalty)
+
+
+def test_sample_rejects_a_temperature_that_overflows_every_token():
+    lm = lm_of(1, {(): {"a": 0.5, END: 0.5}})
+    with pytest.raises(ValidationError, match="temperature 5e-324 is too small"):
+        sample_sequences(lm, n=1, temperature=5e-324)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_temperature_draws_the_argmax_without_warnings():
+    # every other token's scaled log-probability overflows to -inf, the top one
+    # stays finite, so each step is certain
+    lm = lm_of(3, {(): {"a": 0.6, "b": 0.4}, ("a",): {"b": 0.7, END: 0.3},
+                   ("a", "b"): {END: 0.9, "a": 0.1}})
+    runs = sample_sequences(lm, n=3, temperature=4e-309, seed=4, max_len=6)
+    assert [r.tokens for r in runs] == [("a", "b", END)] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=40),
+    temperature=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**63),
+    salt=st.integers(0, 2**31),
+    runs=st.integers(1, 3),
+    steps=st.integers(1, 8),
+)
+def test_draw_equals_generator_choice(weights, temperature, seed, salt, runs, steps):
+    # an order-1 LM without the end token draws ``steps`` times per run from
+    # one distribution over tokens sorted as indexed
+    tokens = [f"t{i:02d}" for i in range(len(weights))]
+    total = sum(weights)
+    lm = lm_of(1, {(): {t: w / total for t, w in zip(tokens, weights)}},
+               vocab=tokens + [END])
+    drawn = sample_sequences(lm, runs, temperature, seed, salt, max_len=steps)
+    logits = np.array([lm.logprobs(())[t] for t in tokens]) / temperature
+    p = np.exp(logits - logits.max())
+    p /= p.sum()
+    for run, sequence in enumerate(drawn):
+        rng = np.random.default_rng([seed, salt, run])
+        expected = [int(rng.choice(len(tokens), p=p)) for _ in range(steps)]
+        assert [tokens.index(t) for t in sequence.tokens] == expected
 
 
 # --- numbered-list codec ----------------------------------------------------------

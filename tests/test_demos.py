@@ -29,13 +29,57 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy.optimize and scipy.special are imported inside the functions that
-    # use them, so commands that never assign or compute a p-value skip them
+    # numpy, scipy.optimize and scipy.special are imported inside the functions
+    # that use them, so a command loads none of them at start-up
     code = ("import sys, polyeval, polyeval.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
     result = run_python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# runs ``python -m polyeval ARGS`` and, at exit, prints which heavy modules
+# the command loaded
+HEAVY_PROBE = """
+import atexit, runpy, sys
+HEAVY = ("numpy", "scipy.optimize", "scipy.optimize._lsap", "scipy.special")
+atexit.register(lambda: print("loaded:", [m for m in HEAVY if m in sys.modules],
+                              file=sys.stderr))
+sys.argv[0] = "polyeval"
+runpy.run_module("polyeval", run_name="__main__", alter_sys=True)
+"""
+LM, EXAMPLES, DBS = (str(GOLDEN / name) for name in
+                     ("toy_mono.lm.json", "unified.jsonl", "g_dbs.jsonl"))
+DECODE = ["decode", "--lm", LM, "--examples", EXAMPLES, "--beams", "10", "--max-len", "8",
+          "--out", "g.jsonl"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--version"], []),
+    (["normalize", "--in", str(GOLDEN / "raw_corpus.jsonl"), "--source", "generic",
+      "--out", "u.jsonl"], []),
+    (["datastats", "--examples", EXAMPLES], []),
+    (DECODE + ["--strategy", "beam"], []),
+    (DECODE + ["--strategy", "dbs", "--groups", "10", "--penalty", "0.5"], []),
+    (DECODE + ["--strategy", "poly", "--poly-from-beams"], []),
+    (["diversity", "--generations", DBS, "--topk", "5",
+      "--gold-clusters", str(GOLDEN / "clusters.jsonl")], []),
+    (DECODE + ["--strategy", "poly"], ["numpy"]),
+    (["diversity", "--generations", DBS, "--topk", "5",
+      "--embeddings", str(GOLDEN / "embeddings.jsonl")], ["numpy"]),
+    (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
+      "--topk", "1"], ["numpy"]),
+    (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
+      "--topk", "3"], ["numpy", "scipy.optimize._lsap"]),
+    (["stats", "prop", "--successes", "93,75", "--trials", "100,100"],
+     ["numpy", "scipy.special"]),
+], ids=["version", "normalize", "datastats", "decode_beam", "decode_dbs",
+        "decode_poly_from_beams", "diversity_gold_clusters", "decode_poly",
+        "diversity_embeddings", "eval_top1", "eval_topk", "stats_prop"])
+def test_each_command_loads_only_the_heavy_modules_it_uses(tmp_path, argv, loaded):
+    result = run_python(["-c", HEAVY_PROBE, *argv], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == f"loaded: {loaded}\n"
 
 
 
