@@ -3,12 +3,13 @@
 scipy's ``linear_sum_assignment`` (a shortest-augmenting-path solver after
 Crouse 2016) finds the optimal total.  Only its compiled extension
 ``scipy/optimize/_lsap`` is loaded, registered as ``scipy.optimize._lsap``
-so that a later ``import scipy.optimize`` reuses it.  When
-``scipy.optimize`` is already loaded its extension is used, and the public
-``from scipy.optimize import linear_sum_assignment`` is the fallback when
-the extension cannot be loaded alone.  Importing all of ``scipy.optimize``
-would add about 0.5 s to the start-up of every command that assigns (2-vCPU
-x86 host, scipy 1.17); the extension alone loads in about 0.015 s.
+so that a later ``import scipy.optimize`` reuses it, also as its ``_lsap``
+attribute.  When ``scipy.optimize`` is already loaded its extension is
+used, and the public ``from scipy.optimize import linear_sum_assignment``
+is the fallback when the extension cannot be loaded alone.  Importing all
+of ``scipy.optimize`` would add about 0.5 s to the start-up of every
+command that assigns (2-vCPU x86 host, scipy 1.17); the extension alone
+loads in about 0.015 s.
 
 The tie contract has one definition: the result is the lexicographically
 smallest row-sorted pair list among all assignments whose total is
@@ -66,7 +67,31 @@ def _load_lsap():
     except ImportError:
         return None
     sys.modules[_LSAP] = module
+    sys.meta_path.insert(0, _LinkLsap)
     return module
+
+
+class _LinkLsap:
+    """Meta path finder that gives a later ``import scipy.optimize`` its
+    ``_lsap`` attribute.  The package reuses the extension registered in
+    ``sys.modules``, but the import system sets a parent's attribute only
+    for a child it loads itself."""
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name != "scipy.optimize":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is not None and spec.loader is not None:
+            exec_module = spec.loader.exec_module
+
+            def exec_and_link(module):
+                exec_module(module)
+                if "_lsap" not in vars(module):
+                    module._lsap = sys.modules[_LSAP]
+
+            spec.loader.exec_module = exec_and_link
+        return spec
 
 
 @functools.cache

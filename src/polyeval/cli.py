@@ -501,6 +501,15 @@ def _cmd_decode(args) -> tuple:
 
 # --- parser -----------------------------------------------------------------
 
+# Upper bounds of the flags that count loop iterations, far above the
+# paper's settings (100 repeats, 3 runs, 10 beams, 32 tokens), so that no
+# value makes a command loop without end; ``run`` checks them.
+LOOP_LIMITS = {"--repeats": 100_000, "--runs": 1_000, "--beams": 1_000, "--max-len": 1_000}
+
+
+def _at_most(flag: str) -> str:
+    return f"at most {LOOP_LIMITS[flag]:,}"
+
 
 def _maximum(name: str) -> str:
     """``max`` is short for ``maximum``."""
@@ -593,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mcnemar", help="matched-pairs test with random disagreement resolution"
     )
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--repeats", type=int, default=100)
+    q.add_argument("--repeats", type=int, default=100, help=_at_most("--repeats"))
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--alpha", type=float, default=0.05)
     q.add_argument("--report", default=None)
@@ -628,16 +637,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--strategy", required=True, choices=("beam", "dbs", "poly"))
-    p.add_argument("--beams", type=int, default=10)
+    p.add_argument("--beams", type=int, default=10, help=_at_most("--beams"))
     p.add_argument("--groups", type=int, default=10)
     p.add_argument("--penalty", type=float, default=0.5)
     p.add_argument(
         "--rep-penalty", type=float, default=None,
         help="repetition penalty (default 1.0; 5.0 for poly)",
     )
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=int, default=3, help=_at_most("--runs"))
     p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--max-len", type=int, default=32, help=_at_most("--max-len"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--poly-from-beams", action="store_true",
@@ -661,6 +670,10 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, limit in LOOP_LIMITS.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value > limit:
+                raise ValidationError(f"{flag} must be <= {limit}, got {value}")
         body, warnings, outputs = args.func(args)
         report = {
             "tool": (f"stats.{args.stats_command}" if args.command == "stats"

@@ -292,7 +292,12 @@ def text_key(text: str) -> str:
 
 
 class EmbeddingStore:
-    """Immutable map from text keys to fixed-dimension vectors."""
+    """Immutable map from text keys to fixed-dimension vectors.
+
+    Each text found is memoized with its vector and the vector's norm, so a
+    text is hashed and normed once per store however often it is looked up;
+    a missing text is not memoized and fails on every lookup.
+    """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         dims = {v.shape[0] for v in vectors.values()}
@@ -301,6 +306,7 @@ class EmbeddingStore:
         if dims and next(iter(dims)) < 2:
             raise ValidationError("embedding dimension must be >= 2")
         self._vectors = vectors
+        self._found: dict[str, tuple[np.ndarray, float]] = {}
         self.dim = next(iter(dims)) if dims else 0
 
     def __len__(self) -> int:
@@ -310,14 +316,26 @@ class EmbeddingStore:
         return text_key(text) in self._vectors
 
     def lookup(self, text: str, example_id: str | None = None) -> np.ndarray:
-        key = text_key(text)
-        try:
-            return self._vectors[key]
-        except KeyError:
-            where = f" (example {example_id!r})" if example_id else ""
-            raise MissingEmbedding(
-                f"no embedding for text {text!r} (key {key}){where}"
-            ) from None
+        return self.lookup_with_norm(text, example_id)[0]
+
+    def lookup_with_norm(
+        self, text: str, example_id: str | None = None
+    ) -> tuple[np.ndarray, float]:
+        """The text's vector and its Euclidean norm."""
+        found = self._found.get(text)
+        if found is None:
+            import numpy as np
+
+            key = text_key(text)
+            try:
+                vector = self._vectors[key]
+            except KeyError:
+                where = f" (example {example_id!r})" if example_id else ""
+                raise MissingEmbedding(
+                    f"no embedding for text {text!r} (key {key}){where}"
+                ) from None
+            found = self._found[text] = (vector, float(np.linalg.norm(vector)))
+        return found
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .core import Example
@@ -21,26 +22,32 @@ def cluster_greedy(
     Outputs are scanned in order; each joins the first existing cluster that
     contains a member with cosine >= tau, otherwise it opens a new cluster.
     Deterministic given the input order, the store, and tau.
+
+    The cosine is the dot product of the unit vectors (a zero vector stays
+    as it is).  All of them come from one ``np.vecdot`` over every pair of
+    outputs, which calls the same per-pair BLAS ddot as ``np.dot``, so each
+    ``>= tau`` decision is the one a per-pair ``np.dot`` makes
+    (``test_cluster_greedy_equals_per_pair_loop`` pins it at the boundary).
     """
     import numpy as np
 
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
-    vectors = []
-    for text in outputs:
-        v = store.lookup(text)
-        norm = float(np.linalg.norm(v))
-        vectors.append(v / norm if norm > 0 else v)
+    if not outputs:
+        return []
+    found = [store.lookup_with_norm(text) for text in outputs]
+    norms = np.array([norm if norm > 0 else 1.0 for _, norm in found])
+    units = np.array([vector for vector, _ in found]) / norms[:, None]
+    close = (np.vecdot(units[:, None, :], units[None, :, :]) >= tau).tolist()
+    # the first cluster with a close member is the one of least index
+    labels: list[int] = []
     clusters: list[list[int]] = []
-    for i, vec in enumerate(vectors):
-        placed = False
-        for group in clusters:
-            if any(float(np.dot(vec, vectors[j])) >= tau for j in group):
-                group.append(i)
-                placed = True
-                break
-        if not placed:
-            clusters.append([i])
+    for i, row in enumerate(close):
+        label = min(compress(labels, row), default=len(clusters))
+        if label == len(clusters):
+            clusters.append([])
+        clusters[label].append(i)
+        labels.append(label)
     return clusters
 
 

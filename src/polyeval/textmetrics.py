@@ -9,9 +9,11 @@ A metric may also carry a per-text ``prepare(text)`` and a per-pair
 ``compare(prepared_candidate, prepared_reference)``, with
 ``metric(c, r) == compare(prepare(c), prepare(r))``.  ``score_matrix`` then
 prepares each distinct text once per matrix; both built-in metrics do.
+The embedding cosine also compares all prepared pairs of a matrix at once.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections import Counter
@@ -97,10 +99,7 @@ _Embedded = "tuple[str, np.ndarray, float]"
 
 def _embedding(text: str, store: EmbeddingStore) -> _Embedded:
     """The text, its stored vector and the vector's norm."""
-    import numpy as np
-
-    vector = store.lookup(text)
-    return text, vector, float(np.linalg.norm(vector))
+    return (text, *store.lookup_with_norm(text))
 
 
 def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
@@ -111,6 +110,27 @@ def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
             f"zero-norm embedding for {(cand_text if nu == 0.0 else ref_text)!r}"
         )
     return float(u.dot(v) / (nu * nv))
+
+
+def _cosine_matrix(
+    candidates: Sequence[_Embedded], references: Sequence[_Embedded]
+) -> np.ndarray | None:
+    """``_cosine`` of every pair as one matrix, or None if a norm is zero.
+
+    ``np.vecdot`` calls the same per-pair BLAS ddot as ``u.dot(v)``, and the
+    division is the same IEEE operation, so every cell is bit-identical to
+    ``_cosine`` (pinned by ``test_vecdot_equals_per_pair_dot``); a matrix
+    product or ``einsum`` sums in another order.
+    """
+    import numpy as np
+
+    nu = np.array([norm for _, _, norm in candidates])
+    nv = np.array([norm for _, _, norm in references])
+    if not (nu.all() and nv.all()):
+        return None
+    u = np.array([vector for _, vector, _ in candidates])
+    v = np.array([vector for _, vector, _ in references])
+    return np.vecdot(u[:, None, :], v[None, :, :]) / np.multiply.outer(nu, nv)
 
 
 def embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
@@ -128,6 +148,7 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
         metric = functools.partial(embed_cosine, store=embeddings)
         metric.prepare = functools.partial(_embedding, store=embeddings)
         metric.compare = _cosine
+        metric.compare_matrix = _cosine_matrix
         return metric
     if metric_id == "exact":
         return exact_match
@@ -141,6 +162,15 @@ def score_matrix(
 
     Each distinct text is prepared once, at its first use in row-major order,
     so a failure names the same cell as calling the metric pair by pair.
+
+    A metric may also carry ``compare_matrix(prepared_outputs,
+    prepared_references)``, which computes every cell at once or returns
+    None if one would fail; the embedding cosine does, with one
+    ``np.vecdot`` per matrix (see ``_cosine_matrix``).  When a prepare fails
+    or ``compare_matrix`` returns None, the pair-by-pair loop runs and raises
+    the error of the first failing cell.  The hypothesis property
+    ``test_embed_matrix_matches_pairwise_including_failures`` pins both
+    paths to per-pair ``np.dot``, failures included.
     """
     import numpy as np
 
@@ -148,7 +178,17 @@ def score_matrix(
         raise ValidationError("score_matrix needs nonempty outputs and references")
     prepare = getattr(metric, "prepare", lambda text: text)
     compare = getattr(metric, "compare", metric)
+    compare_matrix = getattr(metric, "compare_matrix", None)
     prepared: dict[str, object] = {}
+    if compare_matrix is not None:
+        with contextlib.suppress(PolyevalError):  # the loop names the cell
+            for text in (*outputs, *references):
+                if text not in prepared:
+                    prepared[text] = prepare(text)
+            matrix = compare_matrix([prepared[out] for out in outputs],
+                                    [prepared[ref] for ref in references])
+            if matrix is not None:
+                return matrix
     matrix = np.empty((len(outputs), len(references)), dtype=float)
     for i, out in enumerate(outputs):
         for j, ref in enumerate(references):

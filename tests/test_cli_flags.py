@@ -4,9 +4,10 @@ flag added later is covered without a new test.
 - A report's ``config`` echoes every flag of its subcommand but ``--report``,
   resolved: ``infile`` is echoed as ``in``, aliases and strategy-dependent
   defaults are replaced by the values the run used.
-- Every ``int`` or ``float`` flag, given NaN, an infinity, -1, 0 or a word,
-  either runs or fails cleanly: exit 1 or 2, no traceback, exactly one
-  stderr line with ``error:``, and no output or report file.
+- Every ``int`` or ``float`` flag, given NaN, an infinity, -1, 0, 2**64 or
+  a word, either runs or fails cleanly: exit 1 or 2, no traceback, exactly
+  one stderr line with ``error:``, and no output or report file.
+- A flag that counts loop iterations fails above its documented bound.
 """
 import argparse
 import contextlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from polyeval.cli import build_parser, run
+from polyeval.cli import LOOP_LIMITS, build_parser, run
 from polyeval.dataio import write_jsonl
 
 GOLDEN = str(Path(__file__).resolve().parent / "fixtures" / "golden")
@@ -48,7 +49,7 @@ FORMS = {
                     "--strategy", "poly", "--runs", "2", "--out", "out.jsonl"],
 }
 
-BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "abc"]
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", str(2**64), "abc"]
 
 
 def _subparser(argv):
@@ -140,3 +141,14 @@ def test_number_flag_runs_or_fails_cleanly(workdir, form, flag, value):
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("form, flag", [
+    ("stats_mcnemar", "--repeats"), ("decode_poly", "--runs"),
+    ("decode_beam", "--beams"), ("decode_beam", "--max-len"),
+])
+def test_loop_count_above_its_bound_fails(workdir, form, flag):
+    limit = LOOP_LIMITS[flag]
+    assert _run(FORMS[form] + [flag, str(limit + 1)]) == (
+        1, f"error: {flag} must be <= {limit}, got {limit + 1}\n")
+    assert f"at most {limit:,}" in _subparser(FORMS[form]).format_help()

@@ -254,6 +254,37 @@ def test_embedding_store_roundtrip(tmp_path):
         store.lookup("absent", example_id="e9")
 
 
+def test_embedding_store_hashes_each_found_text_once(monkeypatch):
+    import polyeval.dataio as dataio
+    from polyeval.diversity import cluster_greedy
+    from polyeval.textmetrics import make_metric, score_matrix
+
+    keyed = []
+
+    def counting_text_key(text):
+        keyed.append(text)
+        return text_key(text)
+
+    texts = ["a", "b", "c", "d"]
+    store = dataio.EmbeddingStore(
+        {text_key(t): np.asarray(v, dtype=float)
+         for t, v in zip(texts, ([1, 0], [0, 1], [1, 1], [0, 0]))})
+    monkeypatch.setattr(dataio, "text_key", counting_text_key)
+    metric = make_metric("embed_cosine", store)
+    for _ in range(3):
+        score_matrix(["a", "b", "a"], ["c", "b"], metric)
+        cluster_greedy(["a", "b", "c", "d", "a"], store)
+        assert store.lookup("c") is store.lookup_with_norm("c")[0]
+        assert store.lookup_with_norm("c")[1] == np.linalg.norm([1.0, 1.0])
+    assert sorted(keyed) == texts
+    # a missing text is hashed and fails on every lookup
+    for attempt in range(1, 4):
+        with pytest.raises(MissingEmbedding, match="'absent'.*example 'e9'"):
+            store.lookup("absent", example_id="e9")
+        assert keyed.count("absent") == attempt
+    assert "absent" not in store
+
+
 def test_embedding_dimension_mismatch(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_jsonl(

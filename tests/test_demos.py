@@ -123,7 +123,8 @@ def test_eval_loads_only_the_solver_extension_and_both_paths_agree():
 def test_public_import_reuses_the_loaded_solver(tmp_path):
     code = ("import sys; from polyeval.assignment import solve_max; solve_max([[1.0]]); "
             "lsap = sys.modules['scipy.optimize._lsap']; import scipy.optimize; "
-            "print(scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment)")
+            "print(scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment, "
+            "scipy.optimize._lsap is lsap)")
     result = run_python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True\n"
+    assert result.stdout == "True True\n"

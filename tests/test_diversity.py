@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyeval.core import InferenceType, Turn, Example
 from polyeval.dataio import EmbeddingStore, text_key
@@ -73,6 +75,54 @@ def test_cluster_greedy_validation():
         cluster_greedy(["t0", "missing"], store)
     with pytest.raises(ValidationError):
         cluster_greedy(["t0"], store, tau=1.5)
+
+
+def per_pair_cluster_greedy(outputs, store, tau):
+    """cluster_greedy as written before it used one vecdot: the oracle."""
+    vectors = []
+    for text in outputs:
+        v = store.lookup(text)
+        norm = float(np.linalg.norm(v))
+        vectors.append(v / norm if norm > 0 else v)
+    clusters = []
+    for i, vec in enumerate(vectors):
+        placed = False
+        for group in clusters:
+            if any(float(np.dot(vec, vectors[j])) >= tau for j in group):
+                group.append(i)
+                placed = True
+                break
+        if not placed:
+            clusters.append([i])
+    return clusters, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    d=st.integers(2, 64),
+    ideas=st.integers(1, 6),
+    noise=st.sampled_from([0.05, 0.3, 1.0]),
+    zero=st.booleans(),
+    pick=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cluster_greedy_equals_per_pair_loop(n, d, ideas, noise, zero, pick, seed):
+    # outputs are paraphrases: an idea's vector plus noise; tau is one of the
+    # cosines the scan compares, so some decision sits exactly on ">= tau"
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(ideas, d)) * 10.0 ** rng.uniform(-3, 3, size=(ideas, 1))
+    vectors = centers[rng.integers(ideas, size=n)]
+    vectors = vectors + noise * np.abs(vectors).mean() * rng.normal(size=(n, d))
+    if zero:
+        vectors[rng.integers(n)] = 0.0
+    store = store_of(*vectors)
+    _, units = per_pair_cluster_greedy(texts(n), store, 0.5)
+    dots = sorted(x for i in range(n) for j in range(i)
+                  if 0 < (x := float(np.dot(units[i], units[j]))) < 1)
+    tau = dots[pick % len(dots)] if dots else 0.5
+    want, _ = per_pair_cluster_greedy(texts(n), store, tau)
+    assert cluster_greedy(texts(n), store, tau=tau) == want
 
 
 # --- b-cubed -------------------------------------------------------------------

@@ -334,3 +334,44 @@ def test_score_matrix_prepares_each_distinct_text_once():
         plain = score_matrix(outs, references, lambda c, r: metric(c, r))
         assert (matrix == plain).all()
         assert plain[3, 2] == len(outs[3]) - len(references[2])
+
+
+# --- the batched kernel ------------------------------------------------------------
+# _cosine_matrix and cluster_greedy take every dot product of a matrix from
+# one np.vecdot; they are bit-identical to the per-pair code only while
+# vecdot calls the same per-pair ddot as ndarray.dot.  A matrix product or
+# einsum sums in another order and fails this property.
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 300),
+    n=st.integers(1, 20),
+    m=st.integers(1, 12),
+    scale=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(sorted),
+    offset=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vecdot_equals_per_pair_dot(d, n, m, scale, offset, seed):
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        magnitude = 10.0 ** rng.uniform(*scale, size=shape)
+        return magnitude * rng.choice([-1.0, 1.0], size=shape)
+
+    # the stacked operands start at any element offset of a larger buffer,
+    # while the per-pair vectors are separate arrays
+    buffer = np.empty(offset + (n + m) * d)
+    buffer[offset:] = entries((n + m) * d)
+    stacked = buffer[offset:].reshape(n + m, d)
+    u, v = stacked[:n], stacked[n:]
+    want = [[np.array(a).dot(np.array(b)) for b in v] for a in u]
+    got = np.vecdot(u[:, None, :], v[None, :, :])
+    assert got.shape == (n, m)
+    assert got.tolist() == want
+    # and so the embedding score matrix equals the per-pair cosine
+    store = EmbeddingStore({text_key(f"t{i}"): row.copy() for i, row in enumerate(stacked)})
+    outs, refs = [f"t{i}" for i in range(n)], [f"t{n + j}" for j in range(m)]
+    assert_same_outcome(
+        score_matrix(outs, refs, make_metric("embed_cosine", store)),
+        pairwise_matrix(outs, refs, lambda c, r: pairwise_embed_cosine(c, r, store)))
