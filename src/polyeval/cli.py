@@ -238,7 +238,7 @@ def _cmd_diversity(args) -> tuple:
 
     if embeddings is not None:
         clusterings = {
-            eid: cluster_greedy(outs, embeddings, tau=args.tau)
+            eid: cluster_greedy(outs, embeddings, tau=args.tau, example_id=eid)
             for eid, outs in outputs_by_example.items()
         }
     elif gold is not None:

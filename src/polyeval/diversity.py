@@ -15,13 +15,17 @@ from .scoring import validate_clustering
 
 
 def cluster_greedy(
-    outputs: Sequence[str], store: EmbeddingStore, tau: float = 0.8
+    outputs: Sequence[str],
+    store: EmbeddingStore,
+    tau: float = 0.8,
+    example_id: str | None = None,
 ) -> list[list[int]]:
     """Single-link greedy grouping of outputs by embedding cosine.
 
     Outputs are scanned in order; each joins the first existing cluster that
     contains a member with cosine >= tau, otherwise it opens a new cluster.
-    Deterministic given the input order, the store, and tau.
+    Deterministic given the input order, the store, and tau.  A missing
+    embedding names ``example_id`` when one is given.
 
     The cosine is the dot product of the unit vectors (a zero vector stays
     as it is).  All of them come from one ``np.vecdot`` over every pair of
@@ -35,7 +39,7 @@ def cluster_greedy(
         raise ValidationError(f"tau must be in (0, 1), got {tau}")
     if not outputs:
         return []
-    found = [store.lookup_with_norm(text) for text in outputs]
+    found = [store.lookup_with_norm(text, example_id) for text in outputs]
     norms = np.array([norm if norm > 0 else 1.0 for _, norm in found])
     units = np.array([vector for vector, _ in found]) / norms[:, None]
     close = (np.vecdot(units[:, None, :], units[None, :, :]) >= tau).tolist()

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .assignment import mean_assigned, solve_max
 from .core import Example, EvalConfig, GenerationMode, GenerationSet, InferenceType
-from .errors import EmptyCluster, MissingGenerations, ValidationError
+from .errors import EmptyCluster, MissingGenerations, PolyevalError, ValidationError
 from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
@@ -51,10 +51,13 @@ def _example_matrix(
     example_id: str,
 ) -> np.ndarray:
     """outputs x references scores: from the external sidecar when one is
-    given, otherwise computed with the metric."""
+    given, otherwise computed with the metric (a failure names the example)."""
     if external is not None:
         return external.matrix_for(example_id, len(outputs), len(references))
-    return score_matrix(outputs, references, metric)
+    try:
+        return score_matrix(outputs, references, metric)
+    except PolyevalError as exc:
+        raise type(exc)(f"{exc} (example {example_id!r})") from exc
 
 
 def _match(

@@ -7,13 +7,28 @@ of per-example score matrices.
 
 A metric may also carry a per-text ``prepare(text)`` and a per-pair
 ``compare(prepared_candidate, prepared_reference)``, with
-``metric(c, r) == compare(prepare(c), prepare(r))``.  ``score_matrix`` then
-prepares each distinct text once per matrix; both built-in metrics do.
-The embedding cosine also compares all prepared pairs of a matrix at once.
+``metric(c, r) == compare(prepare(c), prepare(r))``, and a
+``compare_matrix`` that compares all prepared pairs of a matrix at once.
+``score_matrix`` prepares each distinct text once per matrix; both
+built-in metrics carry all three.
+
+BLEU follows Papineni et al., "BLEU: a method for automatic evaluation of
+machine translation" (ACL 2002), at sentence level with add-one smoothing
+for n >= 2.  Its matrix is filled in one pass over an inverted index
+(Zobel & Moffat, "Inverted files for text search engines", ACM Computing
+Surveys 2006): each text is profiled once as one ``Counter`` of its 1- to
+4-grams, each reference gram is indexed once as gram -> [(reference, order,
+count)], and each candidate walks only the grams it shares with the index,
+adding its clipped count ``min(c, rc)`` to the per-order match counts of
+every reference that holds the gram.  Pairs that share no gram are never
+visited.  The match counts are Python ints, so they are exact whatever the
+order of summation, and the float tail (the precisions, ``math.log`` and
+``math.exp``) runs per cell in the same scalar order as a pairwise
+computation, so every cell is bit-identical to it.  Per-pair ``bleu`` is the
+1 x 1 case of the same function.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections import Counter
@@ -44,35 +59,64 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-_BleuProfile = tuple[int, list[Counter]]
+_BleuProfile = tuple[int, Counter]
 
 
 def _bleu_profile(text: str) -> _BleuProfile:
-    """Token count and n-gram counts (n = 1..4) of one text."""
+    """Token count and the counts of all 1- to 4-grams of one text.
+
+    A gram is a tuple of tokens, so its length is its order.
+    """
     tokens = tokenize(text)
-    grams = [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, 5)]
-    return len(tokens), grams
+    t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
+    return len(tokens), Counter(
+        [*zip(tokens), *zip(tokens, t1), *zip(tokens, t1, t2), *zip(tokens, t1, t2, t3)])
 
 
-def _bleu_compare(candidate: _BleuProfile, reference: _BleuProfile) -> float:
-    cand_len, cand_grams = candidate
-    ref_len, ref_grams = reference
+def _bleu_score(cand_len: int, ref_len: int, matches: Sequence[int]) -> float:
+    """BLEU of one pair from its clipped match counts for n = 1..4."""
     log_sum = 0.0
-    for n, cand_counts, ref_counts in zip(range(1, 5), cand_grams, ref_grams):
+    for n, match in enumerate(matches, 1):
         possible = max(cand_len - n + 1, 0)
-        matches = sum(
-            min(cand_counts[gram], ref_counts[gram])
-            for gram in cand_counts.keys() & ref_counts.keys()
-        )
-        if matches > 0:
-            precision = matches / possible
+        if match > 0:
+            precision = match / possible
         elif n >= 2:
-            precision = (matches + 1) / (possible + 1)
+            precision = (match + 1) / (possible + 1)
         else:
             return 0.0
         log_sum += 0.25 * math.log(precision)
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
     return brevity * math.exp(log_sum)
+
+
+def _bleu_matrix(
+    candidates: Sequence[_BleuProfile], references: Sequence[_BleuProfile]
+) -> list[list[float]]:
+    """``bleu`` of every (candidate, reference) pair, over an inverted index.
+
+    The index maps each reference gram to its ``(slot, count)`` postings,
+    where slot ``4 * j + n - 1`` holds reference j's matches of order n.  A
+    cell with no unigram match is 0.0, as ``_bleu_score`` would return.
+    """
+    index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    for j, (_, grams) in enumerate(references):
+        for gram, count in grams.items():
+            index.setdefault(gram, []).append((4 * j + len(gram) - 1, count))
+    rows = []
+    for cand_len, grams in candidates:
+        matches = [0] * (4 * len(references))
+        for gram in grams.keys() & index.keys():
+            count = grams[gram]
+            for slot, ref_count in index[gram]:
+                matches[slot] += count if count < ref_count else ref_count
+        rows.append([_bleu_score(cand_len, ref_len, matches[4 * j:4 * j + 4])
+                     if matches[4 * j] else 0.0
+                     for j, (ref_len, _) in enumerate(references)])
+    return rows
+
+
+def _bleu_compare(candidate: _BleuProfile, reference: _BleuProfile) -> float:
+    return _bleu_matrix([candidate], [reference])[0][0]
 
 
 def bleu(candidate: str, reference: str) -> float:
@@ -87,6 +131,7 @@ def bleu(candidate: str, reference: str) -> float:
 
 
 bleu.prepare, bleu.compare = _bleu_profile, _bleu_compare
+bleu.compare_matrix = _bleu_matrix
 
 
 def exact_match(candidate: str, reference: str) -> float:
@@ -164,13 +209,15 @@ def score_matrix(
     so a failure names the same cell as calling the metric pair by pair.
 
     A metric may also carry ``compare_matrix(prepared_outputs,
-    prepared_references)``, which computes every cell at once or returns
-    None if one would fail; the embedding cosine does, with one
-    ``np.vecdot`` per matrix (see ``_cosine_matrix``).  When a prepare fails
-    or ``compare_matrix`` returns None, the pair-by-pair loop runs and raises
-    the error of the first failing cell.  The hypothesis property
-    ``test_embed_matrix_matches_pairwise_including_failures`` pins both
-    paths to per-pair ``np.dot``, failures included.
+    prepared_references)``, which returns every cell at once as rows of
+    floats or an array, or None if one would fail.  Both built-in metrics
+    do: BLEU over an inverted n-gram index (``_bleu_matrix``), the embedding
+    cosine with one ``np.vecdot`` (``_cosine_matrix``).  When a prepare
+    fails or ``compare_matrix`` returns None, the pair-by-pair loop runs and
+    raises the error of the first failing cell; a text whose prepare failed
+    is not prepared again.  Hypothesis properties in
+    ``tests/test_textmetrics.py`` pin both paths of both metrics to pairwise
+    reference implementations, failures included.
     """
     import numpy as np
 
@@ -179,24 +226,32 @@ def score_matrix(
     prepare = getattr(metric, "prepare", lambda text: text)
     compare = getattr(metric, "compare", metric)
     compare_matrix = getattr(metric, "compare_matrix", None)
-    prepared: dict[str, object] = {}
+    prepared: dict[str, object] = {}  # each text's prepared form or its error
+
+    def prepared_form(text: str) -> object:
+        if text not in prepared:
+            try:
+                prepared[text] = prepare(text)
+            except PolyevalError as exc:
+                prepared[text] = exc
+        return prepared[text]
+
     if compare_matrix is not None:
-        with contextlib.suppress(PolyevalError):  # the loop names the cell
-            for text in (*outputs, *references):
-                if text not in prepared:
-                    prepared[text] = prepare(text)
-            matrix = compare_matrix([prepared[out] for out in outputs],
-                                    [prepared[ref] for ref in references])
+        rows = [prepared_form(out) for out in outputs]
+        columns = [prepared_form(ref) for ref in references]
+        if not any(isinstance(form, PolyevalError) for form in (*rows, *columns)):
+            matrix = compare_matrix(rows, columns)
             if matrix is not None:
-                return matrix
+                return np.asarray(matrix, dtype=float)
     matrix = np.empty((len(outputs), len(references)), dtype=float)
     for i, out in enumerate(outputs):
         for j, ref in enumerate(references):
             try:
-                for text in (out, ref):
-                    if text not in prepared:
-                        prepared[text] = prepare(text)
-                matrix[i, j] = compare(prepared[out], prepared[ref])
+                forms = prepared_form(out), prepared_form(ref)
+                for form in forms:
+                    if isinstance(form, PolyevalError):
+                        raise form
+                matrix[i, j] = compare(*forms)
             except PolyevalError as exc:
                 raise type(exc)(f"{exc} (at output {i}, reference {j})") from exc
     return matrix

@@ -402,6 +402,27 @@ def test_diversity_writes_no_clusters_when_the_report_cannot_be_written(workdir,
     assert sorted(p.name for p in workdir.iterdir()) == ["g.jsonl", "gold.jsonl"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--examples", "unified.jsonl", "--generations", "g_dbs.jsonl",
+     "--metric", "embed", "--embeddings", "one.jsonl", "--topk", "5",
+     "--report", "r.json"],
+    ["diversity", "--generations", "g_dbs.jsonl", "--embeddings", "one.jsonl",
+     "--tau", "0.8", "--topk", "5", "--out-clusters", "c.jsonl", "--report", "r.json"],
+], ids=["eval", "diversity"])
+def test_missing_embedding_names_the_example_once(workdir, capsys, argv):
+    for name in ("unified.jsonl", "g_dbs.jsonl"):
+        (workdir / name).write_bytes((GOLDEN / name).read_bytes())
+    with open(GOLDEN / "embeddings.jsonl", encoding="utf-8") as handle:
+        (workdir / "one.jsonl").write_text(handle.readline())
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    # r01 is the first example in file order (eval) and in id order (diversity)
+    assert err.startswith("error: no embedding for text ") and err.count("\n") == 1
+    assert err.endswith(" (example 'r01')\n") and err.count("example") == 1
+    inputs = ["g_dbs.jsonl", "one.jsonl", "unified.jsonl"]
+    assert sorted(p.name for p in workdir.iterdir()) == inputs
+
+
 def test_datastats_report(workdir):
     make_examples(workdir / "u.jsonl", n=3)
     assert run(["datastats", "--examples", "u.jsonl", "--report", "r.json"]) == 0

@@ -260,6 +260,58 @@ def test_bleu_matrix_is_bit_identical_to_pairwise(outputs, references):
     )
 
 
+# A pool of 30 words, each text built from 1-3 of them: most pairs share no
+# gram, so whole rows are 0.0, while tokens repeat within a text and clip.
+SPARSE_WORDS = ("alpha bravo charlie delta echo foxtrot golf hotel india juliet "
+                "kilo lima mike november oscar papa quebec romeo sierra tango "
+                "uniform victor whiskey xray yankee zulu red green blue gray").split()
+
+
+@st.composite
+def sparse_texts(draw):
+    alphabet = draw(st.lists(st.sampled_from(SPARSE_WORDS), min_size=1, max_size=3))
+    length = draw(st.one_of(st.integers(1, 3), st.integers(4, 9)))  # 1-3: no 4-grams
+    return " ".join(draw(st.lists(st.sampled_from(alphabet),
+                                  min_size=length, max_size=length)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Outputs and references, each drawn with repeats from its own few texts,
+    and maybe a whitespace-only text at a drawn position of either list."""
+    lists = []
+    for _ in range(2):
+        texts = draw(st.lists(sparse_texts(), min_size=1, max_size=4))
+        lists.append(draw(st.lists(st.sampled_from(texts), min_size=1, max_size=8)))
+    blank = draw(st.sampled_from([None, 0, 1]))
+    if blank is not None:
+        position = draw(st.integers(0, len(lists[blank])))
+        lists[blank].insert(position, draw(st.sampled_from([" ", "\t\n "])))
+    return lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_matrices())
+def test_sparse_bleu_matrix_is_bit_identical_to_pairwise(case):
+    outputs, references = case
+    got = outcome(lambda: score_matrix(outputs, references, bleu))
+    want = outcome(lambda: pairwise_matrix(outputs, references, pairwise_bleu))
+    assert_same_outcome(got, want)
+    if isinstance(want, np.ndarray):
+        for i, o in enumerate(outputs):
+            for j, r in enumerate(references):
+                per_pair = bleu.compare(bleu.prepare(o), bleu.prepare(r))
+                assert bleu(o, r) == per_pair == got[i, j]
+
+
+def test_bleu_matrix_is_bit_identical_to_pairwise_on_long_texts():
+    # texts of up to 60 tokens reach precisions such as 14/37, where numpy's
+    # SIMD log and libm's differ in the last bit on AVX-512 hosts
+    prefixes = [" ".join(f"w{i}" for i in range(n)) for n in range(1, 61)]
+    got = score_matrix(prefixes, prefixes, bleu)
+    assert_same_outcome(got, pairwise_matrix(prefixes, prefixes, pairwise_bleu))
+
+
 KEYS = st.sampled_from(["k0", "k1", "k2", "k3", "k4", "k5"])
 VECTOR = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=3, max_size=3
@@ -334,6 +386,34 @@ def test_score_matrix_prepares_each_distinct_text_once():
         plain = score_matrix(outs, references, lambda c, r: metric(c, r))
         assert (matrix == plain).all()
         assert plain[3, 2] == len(outs[3]) - len(references[2])
+
+
+def test_bleu_matrix_tokenizes_each_distinct_text_once(monkeypatch):
+    import polyeval.textmetrics as textmetrics
+
+    tokenized = []
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(textmetrics, "tokenize", counting_tokenize)
+    outputs, references = ["a b", "b c d", "c"], ["a b c", "d", "e"]
+    failing = outputs[:2] + ["  "] + outputs[2:]
+    cases = [
+        (outputs, references, None),
+        (outputs + outputs[::-1], references * 2, None),
+        (failing, references, "output 2, reference 0"),
+        (failing + failing, references + [""] + references, "output 0, reference 3"),
+    ]
+    for outs, refs, cell in cases:
+        tokenized.clear()
+        if cell is None:
+            score_matrix(outs, refs, bleu)
+        else:  # the failing-prepare path
+            with pytest.raises(EmptyText, match=cell):
+                score_matrix(outs, refs, bleu)
+        assert sorted(tokenized) == sorted(set(outs + refs))
 
 
 # --- the batched kernel ------------------------------------------------------------
