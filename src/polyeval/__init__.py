@@ -49,6 +49,7 @@ from .decode import (
     load_ngram_lm,
     pack_runs,
     parse_polymorphic,
+    sample_many,
     sample_runs,
     sample_sequences,
 )

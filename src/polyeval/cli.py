@@ -44,7 +44,7 @@ from .decode import (
     diverse_beam_search,
     load_ngram_lm,
     pack_runs,
-    sample_runs,
+    sample_many,
 )
 from .diversity import bcubed, cluster_greedy, diversity_report, ngram_uniqueness
 from .errors import (
@@ -459,38 +459,44 @@ def _cmd_decode(args) -> tuple:
             else beam_search(lm, config, k=args.runs if poly else None)
         )
 
-    mono_mode = (
-        GenerationMode.MONOMORPHIC_DIVERSE_BEAM if dbs else GenerationMode.MONOMORPHIC_BEAM
-    )
+    if poly and sequences is None:
+        samples = sample_many(
+            lm,
+            [_stable_salt(example.example_id) for example in examples],
+            runs=args.runs,
+            temperature=args.temperature,
+            seed=args.seed,
+            max_len=args.max_len,
+            repetition_penalty=args.rep_penalty,
+        )
+        packed = (pack_runs(example.example_id, drawn)
+                  for example, drawn in zip(examples, samples))
+    elif not examples:
+        packed = []
+    elif poly:
+        # one search serves every example, so one set does; the first
+        # example's id names it in an error
+        packed = [pack_runs(examples[0].example_id, sequences)] * len(examples)
+    else:
+        gen_set, dropped = make_generation_set(
+            examples[0].example_id,
+            GenerationMode.MONOMORPHIC_DIVERSE_BEAM if dbs
+            else GenerationMode.MONOMORPHIC_BEAM,
+            [[s.text for s in sequences]],
+        )
+        warnings = ["max_len_without_end" for s in sequences if not s.finished]
+        warnings += ["dropped_duplicates"] * dropped
+        packed = [(gen_set, warnings)] * len(examples)
     records = []
     warning_counts: Counter[str] = Counter()
     if not poly:
         # beam and DBS reports count force-terminated beams even when none were
         warning_counts["max_len_without_end"] = 0
-    for example in examples:
-        if poly and sequences is None:
-            gen_set, warnings = sample_runs(
-                lm,
-                example_id=example.example_id,
-                runs=args.runs,
-                temperature=args.temperature,
-                seed=args.seed,
-                salt=_stable_salt(example.example_id),
-                max_len=args.max_len,
-                repetition_penalty=args.rep_penalty,
-            )
-        elif poly:
-            gen_set, warnings = pack_runs(example.example_id, sequences)
-        else:
-            gen_set, dropped = make_generation_set(
-                example.example_id, mono_mode, [[s.text for s in sequences]]
-            )
-            warnings = ["max_len_without_end" for s in sequences if not s.finished]
-            warnings += ["dropped_duplicates"] * dropped
+    for example, (gen_set, warnings) in zip(examples, packed):
         warning_counts.update(warnings)
         records.append(
             {
-                "example_id": gen_set.example_id,
+                "example_id": example.example_id,
                 "mode": gen_set.mode.value,
                 "runs": [list(run) for run in gen_set.runs],
             }

@@ -1,8 +1,9 @@
 """Decoding harness over pluggable token scorers.
 
 A scorer exposes ``logprobs(prefix) -> {token: logprob}`` over the tokens
-with nonzero probability (log-probabilities are finite and logsumexp to 0)
-plus an ``end_token`` attribute.  A deterministic n-gram toy language model
+with nonzero probability (log-probabilities are finite and logsumexp to 0),
+``context(prefix)``, the part of the prefix that ``logprobs`` depends on,
+and an ``end_token`` attribute.  A deterministic n-gram toy language model
 is provided as the desk-scale scorer for verification and demos.
 
 Beam mechanics, in diverse_beam_search (beam_search is its one-group case):
@@ -12,16 +13,36 @@ by cumulative log-probability, less the diversity penalty in every group
 after the first.  Final ranking is by length-normalized
 log-probability (cumulative divided by token count, end token included);
 ties break by token lexicographic order.
+
+Sampling, in sample_many (sample_sequences is its one-salt case), advances
+every (salt, run) stream in lockstep, one token per step, CHUNK streams at a
+time.  A draw table local to the call holds each context's sorted tokens and
+log-probabilities, from one ``logprobs`` call per distinct context, and each
+cdf keyed by (context, the context's tokens already generated in that run):
+the repetition penalty changes only those tokens, so the key fixes the
+distribution.  The keys a step misses are computed together, as one 2-D
+numpy pass per row length; a hit costs one uniform and one ``bisect_right``.
+The draws are bit-identical to sampling one run at a time: the penalized
+values come from the same formula, the logits are divided by the temperature
+in Python, each cdf row goes through the same numpy steps as a 1-D row,
+``bisect_right`` on its list is ``searchsorted(side="right")``, and each
+stream draws one uniform per step from its own generator and sums its
+log-probability in the same order.  A stream that fails (an unknown context,
+or a temperature so small that every scaled log-probability overflows)
+stops every stream after it in (salt, run) order, while the streams before
+it keep stepping; the error raised is that of the earliest failing stream,
+the one a one-run-at-a-time loop would meet first.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import NUMBER, GenerationMode, GenerationSet, get_field, make_generation_set
 from .errors import PolyevalError, UnknownContext, UnparseableSequence, ValidationError
@@ -29,6 +50,8 @@ from .errors import PolyevalError, UnknownContext, UnparseableSequence, Validati
 
 class TokenScorer(Protocol):
     end_token: str
+
+    def context(self, prefix: tuple[str, ...]) -> tuple[str, ...]: ...
 
     def logprobs(self, prefix: tuple[str, ...]) -> dict[str, float]: ...
 
@@ -87,9 +110,14 @@ def apply_repetition_penalty(
     out = {}
     for token, value in logprobs.items():
         if token in seen:
-            value = value / penalty if value > 0 else value * penalty
+            value = _penalized(value, penalty)
         out[token] = value
     return out
+
+
+def _penalized(value: float, penalty: float) -> float:
+    """A score of a token already generated, after the CTRL penalty."""
+    return value / penalty if value > 0 else value * penalty
 
 
 def _expand(scorer: TokenScorer, beams: list[tuple[tuple[str, ...], float]],
@@ -184,6 +212,236 @@ def diverse_beam_search(
 
 # --- sampling ---------------------------------------------------------------
 
+# Streams that sample_many advances together; it bounds the state of a call,
+# whatever the number of salts.
+CHUNK = 1024
+
+
+def _cdfs(rows: Sequence[Sequence[float]]) -> list[list[float] | None]:
+    """The softmax cdf of each row of scaled logits, or None for a row whose
+    maximum is not finite.
+
+    Rows of one length are stacked into one C-contiguous array and go through
+    the steps of the one-row code in its order: max, subtract, ``np.exp``, a
+    row sum, divide, ``cumsum`` and divide by the last entry.  Each step works
+    row by row with the same loop as on a 1-D array, so every row comes out
+    bit-identical to the one-row result (tests/test_decode.py checks it).  A
+    row with a non-finite maximum is left out before the subtraction, where
+    ``inf - inf`` would warn.
+    """
+    import numpy as np
+
+    cdfs: list[list[float] | None] = [None] * len(rows)
+    by_length: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for positions in by_length.values():
+        logits = np.array([rows[i] for i in positions])
+        top = logits.max(axis=1)
+        finite = np.isfinite(top)
+        if not finite.all():
+            positions = [i for i, ok in zip(positions, finite.tolist()) if ok]
+            logits, top = logits[finite], top[finite]
+        probs = np.exp(logits - top[:, None])
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        for i, row in zip(positions, cdf.tolist()):
+            cdfs[i] = row
+    return cdfs
+
+
+def sample_many(
+    scorer: TokenScorer,
+    salts: Sequence[int],
+    runs: int,
+    temperature: float = 1.0,
+    seed: int = 0,
+    max_len: int = 32,
+    repetition_penalty: float = 1.0,
+) -> Iterator[list[DecodedSequence]]:
+    """Seeded ancestral sampling of ``runs`` sequences per salt, yielded as
+    one list per salt in order; run r of a salt uses the (seed, salt, r)
+    stream.  The arguments are checked when iteration starts.
+
+    temperature scales log-probabilities before renormalization; 0 selects
+    the argmax at every step (ties to the lexicographically smaller token).
+    Each step draws one uniform and inverts the cumulative distribution over
+    the sorted tokens: numpy's own algorithm for ``Generator.choice`` with
+    ``p``, without its per-call checks of ``p``.  tests/test_decode.py pins
+    the draw to ``choice`` on the same stream, and the streams to a loop
+    that samples one run at a time.
+    """
+    import numpy as np
+
+    if not (0 <= temperature < math.inf):
+        raise ValidationError("temperature must be >= 0 and finite")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    if runs < 1:
+        raise ValidationError("need at least one run")
+    if max_len < 1:
+        raise ValidationError("max_len must be >= 1")
+    _check_repetition_penalty(repetition_penalty)
+    table = _DrawTable(scorer, temperature, repetition_penalty)
+    streams = [(salt, run) for salt in salts for run in range(runs)]
+    done: list[DecodedSequence] = []
+    for start in range(0, len(streams), CHUNK):
+        chunk = streams[start : start + CHUNK]
+        rngs = (
+            [None] * len(chunk) if temperature == 0
+            else [np.random.default_rng([seed, salt, run]) for salt, run in chunk]
+        )
+        sequences, error = table.advance(rngs, max_len)
+        for sequence in sequences:
+            done.append(sequence)
+            if len(done) == runs:
+                yield done
+                done = []
+        if error is not None:
+            raise error
+
+
+class _Context(NamedTuple):
+    """One context's distribution, from one ``scorer.logprobs`` call."""
+
+    tokens: list[str]  # sorted
+    values: list[float]  # their log-probabilities
+    scaled: list[float] | None  # values / temperature; None at temperature 0
+    position: dict[str, int]  # index of each token in ``tokens``
+    token_set: frozenset[str]
+
+
+class _DrawTable:
+    """What sample_many draws from, filled as its streams first need it.
+
+    ``contexts`` maps a context to its ``_Context``; ``draws`` maps (context,
+    the context's tokens already generated in the run) to the cdf, or at
+    temperature 0 to the argmax position; without a repetition penalty the
+    key is the context alone.  The penalty changes nothing else, so the key
+    fixes the distribution.  ``errors`` keeps a failure under its context or
+    key, and it fails every stream that reaches it.
+    """
+
+    def __init__(self, scorer: TokenScorer, temperature: float, penalty: float):
+        self.scorer = scorer
+        self.temperature = temperature
+        self.penalty = penalty
+        self.contexts: dict[tuple[str, ...], _Context] = {}
+        self.draws: dict[tuple, list[float] | int] = {}
+        self.errors: dict[tuple, PolyevalError] = {}
+
+    def _context(self, prefix: tuple[str, ...],
+                 context: tuple[str, ...]) -> _Context | None:
+        """The entry of a context first reached by ``prefix``, or None when
+        the scorer fails on it."""
+        if context in self.errors:
+            return None
+        try:
+            step = sorted(self.scorer.logprobs(prefix).items())
+        except PolyevalError as exc:
+            self.errors[context] = exc
+            return None
+        tokens = [token for token, _ in step]
+        values = [value for _, value in step]
+        # Python division overflows to inf without numpy's warning
+        scaled = [v / self.temperature for v in values] if self.temperature else None
+        entry = _Context(tokens, values, scaled,
+                         {t: i for i, t in enumerate(tokens)}, frozenset(tokens))
+        self.contexts[context] = entry
+        return entry
+
+    def _fill(self, missing: dict[tuple, tuple[_Context, frozenset[str]]]) -> None:
+        """Compute the draws of the keys a step missed: key -> (context
+        entry, the context's tokens already generated)."""
+        penalty, temperature = self.penalty, self.temperature
+        rows = []
+        for entry, repeated in missing.values():
+            values = entry.scaled if temperature else entry.values
+            if repeated:
+                values = values.copy()
+                for token in repeated:
+                    i = entry.position[token]
+                    value = _penalized(entry.values[i], penalty)
+                    values[i] = value / temperature if temperature else value
+            rows.append(values)
+        if temperature == 0:
+            # max() keeps the first (lexicographically smallest) on ties
+            draws = [max(range(len(row)), key=row.__getitem__) for row in rows]
+        else:
+            draws = _cdfs(rows)
+        for key, draw in zip(missing, draws):
+            if draw is None:
+                self.errors[key] = ValidationError(
+                    f"temperature {temperature!r} is too small: every token's "
+                    "scaled log-probability overflows; use 0 for greedy decoding"
+                )
+            else:
+                self.draws[key] = draw
+
+    def advance(self, rngs: list, max_len: int) -> tuple[list[DecodedSequence],
+                                                         PolyevalError | None]:
+        """Sample one stream per rng (None at temperature 0) in lockstep.
+
+        Returns the sequences of the streams before the earliest failing one,
+        and its error (None when no stream fails).  A failure stops the
+        streams after it; those before it keep stepping and may fail later.
+        """
+        contexts, draws, errors = self.contexts, self.draws, self.errors
+        context_of, end = self.scorer.context, self.scorer.end_token
+        penalty = self.penalty
+        penalize = penalty > 1.0
+        greedy = self.temperature == 0
+        n = len(rngs)
+        prefixes: list[tuple[str, ...]] = [()] * n
+        logprobs = [0.0] * n
+        seen: list[set[str]] = [set() for _ in range(n)]
+        finished = [False] * n
+        failed, error = n, None
+        active = range(n)
+        for _ in range(max_len):
+            if not active:
+                break
+            steps = []
+            missing: dict[tuple, tuple[_Context, frozenset[str]]] = {}
+            for s in active:
+                prefix = prefixes[s]
+                context = context_of(prefix)
+                entry = contexts.get(context) or self._context(prefix, context)
+                if entry is None:
+                    failed, error = s, errors[context]
+                    break
+                key = (context, entry.token_set & seen[s]) if penalize else context
+                if key not in draws and key not in errors:
+                    missing[key] = (entry, key[1] if penalize else frozenset())
+                steps.append((s, key, entry))
+            if missing:
+                self._fill(missing)
+            active = []
+            for s, key, entry in steps:
+                draw = draws.get(key)
+                if draw is None:
+                    failed, error = s, errors[key]
+                    break
+                i = draw if greedy else bisect_right(draw, rngs[s].random())
+                token = entry.tokens[i]
+                value = entry.values[i]
+                if penalize:
+                    history = seen[s]
+                    if token in history:
+                        value = _penalized(value, penalty)
+                    else:
+                        history.add(token)
+                logprobs[s] += value
+                prefixes[s] += (token,)
+                if token == end:
+                    finished[s] = True
+                else:
+                    active.append(s)
+        sequences = [_sequence(prefixes[s], logprobs[s], finished[s], end)
+                     for s in range(failed)]
+        return sequences, error
+
 
 def sample_sequences(
     scorer: TokenScorer,
@@ -194,64 +452,9 @@ def sample_sequences(
     max_len: int = 32,
     repetition_penalty: float = 1.0,
 ) -> list[DecodedSequence]:
-    """Seeded ancestral sampling; run r uses the (seed, salt, r) stream.
-
-    temperature scales log-probabilities before renormalization; 0 selects
-    the argmax at every step (ties to the lexicographically smaller token).
-    Each step draws one uniform and inverts the cumulative distribution over
-    the sorted tokens: numpy's own algorithm for ``Generator.choice`` with
-    ``p``, without its per-call checks of ``p``.  tests/test_decode.py pins
-    the draw to ``choice`` on the same stream.
-    """
-    import numpy as np
-
-    if not (0 <= temperature < math.inf):
-        raise ValidationError("temperature must be >= 0 and finite")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
-    if n < 1:
-        raise ValidationError("need at least one run")
-    if max_len < 1:
-        raise ValidationError("max_len must be >= 1")
-    _check_repetition_penalty(repetition_penalty)
-    end = scorer.end_token
-    sequences = []
-    for run in range(n):
-        rng = np.random.default_rng([seed, salt, run])
-        tokens: tuple[str, ...] = ()
-        logprob = 0.0
-        finished = False
-        for _ in range(max_len):
-            step_map = scorer.logprobs(tokens)
-            if repetition_penalty > 1.0:
-                step_map = apply_repetition_penalty(
-                    step_map, tokens, repetition_penalty
-                )
-            step = sorted(step_map.items())
-            if temperature == 0:
-                token, value = max(step, key=lambda kv: kv[1])
-                # max() keeps the first (lexicographically smallest) on ties
-            else:
-                # Python division overflows to inf without numpy's warning
-                logits = np.array([v / temperature for _, v in step])
-                top = logits.max()
-                if not math.isfinite(top):  # else inf - inf leaves a NaN cdf
-                    raise ValidationError(
-                        f"temperature {temperature!r} is too small: every token's "
-                        "scaled log-probability overflows; use 0 for greedy decoding"
-                    )
-                probs = np.exp(logits - top)
-                probs /= probs.sum()
-                cdf = probs.cumsum()
-                cdf /= cdf[-1]
-                token, value = step[int(cdf.searchsorted(rng.random(), side="right"))]
-            logprob += value
-            tokens += (token,)
-            if token == end:
-                finished = True
-                break
-        sequences.append(_sequence(tokens, logprob, finished, end))
-    return sequences
+    """``n`` sampled runs for one salt: the one-salt case of ``sample_many``."""
+    return next(sample_many(scorer, [salt], n, temperature, seed, max_len,
+                            repetition_penalty))
 
 
 def pack_runs(
@@ -426,8 +629,12 @@ class NgramLM:
         self.end_token = end_token
         self._table = logtable
 
+    def context(self, prefix: tuple[str, ...]) -> tuple[str, ...]:
+        """The part of ``prefix`` that conditions the next token."""
+        return tuple(prefix[-(self.order - 1) :]) if self.order > 1 else ()
+
     def logprobs(self, prefix: tuple[str, ...]) -> dict[str, float]:
-        context = tuple(prefix[-(self.order - 1) :]) if self.order > 1 else ()
+        context = self.context(prefix)
         try:
             return dict(self._table[context])
         except KeyError:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from polyeval import cli
 from polyeval.cli import run
 from polyeval.core import validate_generation_set
 from polyeval.dataio import read_jsonl, text_key, write_jsonl
@@ -659,23 +660,37 @@ DECODE_BASE = ["decode", "--lm", "lm.json", "--examples", "u.jsonl",
     ["--strategy", "poly", "--poly-from-beams", "--runs", "2", "--beams", "4"],
 ], ids=["beam", "dbs", "poly_from_beams"])
 def test_decode_searches_once_per_command(workdir, monkeypatch, strategy):
-    # the scorer sees only the prefix, so the search cost must not grow with
-    # the number of examples
+    # the scorer sees only the prefix, so neither the search cost nor the
+    # generation sets built from it may grow with the number of examples
     (workdir / "lm.json").write_text(json.dumps(TOY_LM))
     logprobs = NgramLM.logprobs
     calls = []
+    builds = []
 
     def counting(self, prefix):
         calls.append(prefix)
         return logprobs(self, prefix)
 
+    def building(build):
+        def counted(example_id, *args):
+            builds.append(example_id)
+            return build(example_id, *args)
+        return counted
+
     monkeypatch.setattr(NgramLM, "logprobs", counting)
+    for name in ("make_generation_set", "pack_runs"):
+        monkeypatch.setattr(cli, name, building(getattr(cli, name)))
     counts = []
     for n in (1, 3):
         make_examples(workdir / "u.jsonl", n=n)
         calls.clear()
+        builds.clear()
         assert run(DECODE_BASE + strategy + ["--max-len", "6"]) == 0
         counts.append(len(calls))
+        assert builds == ["e0"]
+        rows = [rec for _, rec in read_jsonl(workdir / "g.jsonl")]
+        assert [row["example_id"] for row in rows] == [f"e{i}" for i in range(n)]
+        assert all(row["runs"] == rows[0]["runs"] for row in rows)
     assert counts[0] > 0
     assert counts[0] == counts[1]
 

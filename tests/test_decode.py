@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyeval import decode
 from polyeval.core import GenerationMode
 from polyeval.decode import (
     BeamConfig,
+    DecodedSequence,
     NgramLM,
     apply_repetition_penalty,
     beam_search,
     diverse_beam_search,
     format_polymorphic,
     parse_polymorphic,
+    sample_many,
     sample_runs,
     sample_sequences,
 )
-from polyeval.errors import UnknownContext, UnparseableSequence, ValidationError
+from polyeval.errors import (
+    PolyevalError,
+    UnknownContext,
+    UnparseableSequence,
+    ValidationError,
+)
 
 END = "</s>"
 
@@ -382,6 +390,169 @@ def test_draw_equals_generator_choice(weights, temperature, seed, salt, runs, st
         rng = np.random.default_rng([seed, salt, run])
         expected = [int(rng.choice(len(tokens), p=p)) for _ in range(steps)]
         assert [tokens.index(t) for t in sequence.tokens] == expected
+
+
+def one_run_at_a_time(scorer, n, temperature, seed, salt, max_len, penalty):
+    """The sampling loop that sample_many replaced, kept as its reference:
+    one run after another, one distribution per step."""
+    end = scorer.end_token
+    sequences = []
+    for run in range(n):
+        rng = np.random.default_rng([seed, salt, run])
+        tokens = ()
+        logprob = 0.0
+        finished = False
+        for _ in range(max_len):
+            step_map = scorer.logprobs(tokens)
+            if penalty > 1.0:
+                step_map = apply_repetition_penalty(step_map, tokens, penalty)
+            step = sorted(step_map.items())
+            if temperature == 0:
+                token, value = max(step, key=lambda kv: kv[1])
+            else:
+                logits = np.array([v / temperature for _, v in step])
+                top = logits.max()
+                if not math.isfinite(top):
+                    raise ValidationError(
+                        f"temperature {temperature!r} is too small: every token's "
+                        "scaled log-probability overflows; use 0 for greedy decoding"
+                    )
+                probs = np.exp(logits - top)
+                probs /= probs.sum()
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                token, value = step[int(cdf.searchsorted(rng.random(), side="right"))]
+            logprob += value
+            tokens += (token,)
+            if token == end:
+                finished = True
+                break
+        text = " ".join(t for t in tokens if t != end)
+        sequences.append(DecodedSequence(tokens, text, logprob, logprob / len(tokens),
+                                         finished))
+    return sequences
+
+
+def bits(sequences):
+    return [(s.tokens, s.text, s.logprob.hex(), s.score.hex(), s.finished)
+            for s in sequences]
+
+
+def outcome(draws):
+    """The per-salt sequences an iterator of draws yields before it fails,
+    and the failure's type and message."""
+    done = []
+    try:
+        for sequences in draws:
+            done.append(bits(sequences))
+    except PolyevalError as exc:
+        return done, (type(exc), str(exc))
+    return done, None
+
+
+@st.composite
+def toy_lms(draw):
+    """Order-1 to 3 LMs over at most three words, with some contexts missing."""
+    order = draw(st.integers(1, 3))
+    words = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    contexts = [()]
+    for length in range(1, order):
+        contexts += [c + (w,) for c in contexts if len(c) == length - 1 for w in words]
+    table = {}
+    for context in contexts:
+        if context and draw(st.integers(0, 2)) == 0:
+            continue  # missing: a stream that reaches it fails
+        tokens = draw(st.one_of(
+            st.just(words + [END]),  # full support: streams part at random
+            st.lists(st.sampled_from(words + [END]), min_size=1, unique=True),
+        ))
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(tokens),
+                                max_size=len(tokens)))
+        total = sum(weights)
+        table[context] = {t: w / total for t, w in zip(tokens, weights)}
+    return lm_of(order, table, vocab=words + [END])
+
+
+# Salt 22 completes both runs; run 1 of salt 0 fails at step 5 on ("b",), and
+# run 1 of salt 1 fails sooner, at step 2 on ("c",): the error is salt 0's.
+PARTING_STREAMS = lm_of(2, {(): {"a": 0.5, "b": 0.1, "c": 0.1, END: 0.3},
+                            ("a",): {"a": 0.6, "b": 0.2, "c": 0.2}},
+                        vocab=["a", "b", "c", END])
+
+
+@pytest.mark.parametrize("chunk", [None, 2], ids=["one_chunk", "chunks_of_2"])
+@settings(max_examples=300, deadline=None)
+@example(lm=PARTING_STREAMS, penalty=1.5, temperature=1.0, seed=3,
+         salts=[22, 0, 1], runs=2, max_len=8)
+@given(
+    lm=toy_lms(),
+    penalty=st.sampled_from([1.0, 1.5, 5.0]),
+    temperature=st.one_of(st.sampled_from([0.0, 4e-309, 5e-324]),
+                          st.floats(0.05, 5.0)),
+    seed=st.integers(0, 2**32),
+    salts=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+    runs=st.integers(1, 4),
+    max_len=st.integers(1, 8),
+)
+def test_sample_many_equals_sampling_one_run_at_a_time(
+    chunk, lm, penalty, temperature, seed, salts, runs, max_len
+):
+    expected = outcome(
+        one_run_at_a_time(lm, runs, temperature, seed, salt, max_len, penalty)
+        for salt in salts
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(decode, "CHUNK", chunk)
+        got = outcome(sample_many(lm, salts, runs, temperature, seed, max_len, penalty))
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.lists(st.one_of(
+        st.just(-math.inf),
+        st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                  st.sampled_from([1.0, -1.0]), st.floats(-300, 3)),
+    ), min_size=1, max_size=40),
+    min_size=1, max_size=30,
+))
+def test_batched_cdf_rows_are_bit_identical_to_one_row(rows):
+    for row, cdf in zip(rows, decode._cdfs(rows)):
+        logits = np.array(row)
+        top = logits.max()
+        if not math.isfinite(top):
+            assert cdf is None
+            continue
+        probs = np.exp(logits - top)
+        probs /= probs.sum()
+        one = probs.cumsum()
+        one /= one[-1]
+        assert np.array(cdf).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("table,contexts", [
+    ({(): {"a": 1.0}, ("a",): {"b": 1.0}, ("b",): {END: 1.0}}, 3),
+    ({(): {"a": 1.0}, ("a",): {"a": 0.5, END: 0.5}}, 2),  # ("a",) recurs in a run
+], ids=["each_context_once_per_run", "context_recurs_in_a_run"])
+def test_sample_many_asks_the_lm_once_per_distinct_context(monkeypatch, table,
+                                                           contexts):
+    lm = lm_of(2, table)
+    logprobs = NgramLM.logprobs
+    asked = []
+
+    def counting(self, prefix):
+        asked.append(self.context(prefix))
+        return logprobs(self, prefix)
+
+    monkeypatch.setattr(NgramLM, "logprobs", counting)
+    # one stream, then 12 streams that share every context
+    for salts, runs in (([5], 1), ([5, 6, 7, 8], 3)):
+        for _ in range(2):  # the draw table lives for one call
+            asked.clear()
+            list(sample_many(lm, salts, runs, seed=1, max_len=8,
+                             repetition_penalty=5.0))
+            assert len(asked) == len(set(asked)) == contexts
 
 
 # --- numbered-list codec ----------------------------------------------------------
