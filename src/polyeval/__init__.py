@@ -63,15 +63,12 @@ from .diversity import (
 from .scoring import (
     CorpusScore,
     ExampleScore,
-    Top1Score,
     cluster_constrained_score,
     corpus_score,
     coverage,
     nbest_score,
     polyagg,
-    polyagg_from_matrix,
     score_example,
-    top1_corpus,
     top1_select,
 )
 from .stats import (

@@ -53,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .report import render_report
-from .scoring import corpus_score, top1_corpus
+from .scoring import corpus_score
 from .stats import (
     AnnotationTable,
     binarize,
@@ -170,43 +170,24 @@ def _cmd_eval(args) -> tuple:
     if orphans:
         warnings.append(f"orphan_generations:{orphans}")
 
-    if config.top_k == 1:
-        result = top1_corpus(
-            examples, generations, metric, config.selection, external=external
-        )
-        body = {
-            "overall": result.overall,
-            "per_type": result.per_type,
-            "macro": result.macro,
-            "n_examples": result.n_examples,
-            "per_example": [
-                {"example_id": eid, "score": score}
-                for eid, score in result.per_example
-            ],
-        }
-    else:
-        result = corpus_score(
-            examples, generations, config, metric,
-            clusters=clusters, external=external,
-        )
-        body = {
-            "overall": result.overall,
-            "per_type": result.per_type,
-            "macro": result.macro,
-            "n_examples": result.n_examples,
-            "n_references": result.n_references,
-            "per_example": [
-                {
-                    "example_id": s.example_id,
-                    "score": s.score,
-                    "coverage": s.coverage,
-                    "n_outs": s.n_outs,
-                    "n_refs": s.n_refs,
-                    "contribution": s.contribution,
-                }
-                for s in result.example_scores
-            ],
-        }
+    result = corpus_score(
+        examples, generations, config, metric, clusters=clusters, external=external
+    )
+    per_example = [
+        {"example_id": s.example_id, "score": s.score} for s in result.example_scores
+    ]
+    body = {
+        "overall": result.overall,
+        "per_type": result.per_type,
+        "macro": result.macro,
+        "n_examples": result.n_examples,
+        "per_example": per_example,
+    }
+    if config.top_k > 1:
+        body["n_references"] = result.n_references
+        for row, s in zip(per_example, result.example_scores):
+            row.update(coverage=s.coverage, n_outs=s.n_outs, n_refs=s.n_refs,
+                       contribution=s.contribution)
     if args.metric == "bleu":
         body = _scale_bleu(body)
         body["metric_notes"] = BLEU_NOTES

@@ -2,8 +2,10 @@
 reference-count weighting, top-1 selection rules, N-best matching modes,
 and cluster-constrained scoring.
 
-Per-example scoring is pure; the corpus reduction is an associative sum over
-example contributions, so results are independent of evaluation order.
+Per-example scoring is pure.  Both strategies, top-1 selection and set
+scoring, give one ``ExampleScore`` per example, and one reducer turns them into
+the corpus figures.  The reducer sums the contributions in example_id order,
+so the figures do not depend on the order the examples come in.
 """
 from __future__ import annotations
 
@@ -19,11 +21,6 @@ if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
 
 
-def polyagg_from_matrix(matrix: np.ndarray) -> float:
-    """Mean of the maximal-assignment scores of a precomputed matrix."""
-    return mean_assigned(matrix, solve_max(matrix))
-
-
 def polyagg(outputs: Sequence[str], references: Sequence[str], metric: Metric) -> float:
     """Score a set of outputs against a set of references.
 
@@ -32,7 +29,7 @@ def polyagg(outputs: Sequence[str], references: Sequence[str], metric: Metric) -
     claim each reference, so surface-level variations of one idea cannot
     cover a diverse reference set.
     """
-    return polyagg_from_matrix(score_matrix(outputs, references, metric))
+    return _match(score_matrix(outputs, references, metric), "bipartite")
 
 
 def coverage(n_outs: int, n_refs: int, cap: bool = True) -> float:
@@ -70,7 +67,7 @@ def _match(
 
         matrix = np.stack([matrix[group].max(axis=0) for group in groups])
     if matching == "bipartite":
-        return polyagg_from_matrix(matrix)
+        return mean_assigned(matrix, solve_max(matrix))
     if matching == "maximum":
         return float(matrix.max(axis=1).mean())
     raise ValidationError(f"unknown matching {matching!r}")
@@ -172,23 +169,25 @@ def cluster_constrained_score(
 class ExampleScore:
     example_id: str
     inference_type: InferenceType
-    score: float  # set score (assignment mean or matching-mode variant)
-    coverage: float
+    score: float  # top-1 score, or set score under the matching mode
+    coverage: float  # 1.0 for a top-1 score
     n_outs: int
     n_refs: int
+    weight: int  # n_refs for a set score, 1 for a top-1 score
 
     @property
     def contribution(self) -> float:
-        return self.score * self.coverage * self.n_refs
+        return self.score * self.coverage * self.weight
 
 
 @dataclass(frozen=True)
 class CorpusScore:
-    """Reference-count-weighted corpus result.
+    """Weighted corpus result.
 
-    ``overall`` is the weighted sum of example contributions divided by the
-    total reference count; ``per_type`` applies the same formula within each
-    inference type and ``macro`` averages those per-type values.
+    ``overall`` is the sum of example contributions divided by the total
+    weight (the reference count for set scores, the example count for top-1
+    scores); ``per_type`` applies the same formula within each inference type
+    and ``macro`` averages those per-type values.
     """
 
     overall: float
@@ -199,23 +198,25 @@ class CorpusScore:
     example_scores: tuple[ExampleScore, ...]
 
 
+def _weighted_mean(scores: Sequence[ExampleScore]) -> float:
+    return sum(s.contribution for s in scores) / sum(s.weight for s in scores)
+
+
 def _aggregate(example_scores: list[ExampleScore]) -> CorpusScore:
+    if not example_scores:
+        raise ValidationError("no examples to report on")
     example_scores = sorted(example_scores, key=lambda s: s.example_id)
-    total_refs = sum(s.n_refs for s in example_scores)
-    overall = sum(s.contribution for s in example_scores) / total_refs
     per_type: dict[str, float] = {}
     for itype in sorted({s.inference_type.value for s in example_scores}):
-        members = [s for s in example_scores if s.inference_type.value == itype]
-        per_type[itype] = sum(s.contribution for s in members) / sum(
-            s.n_refs for s in members
+        per_type[itype] = _weighted_mean(
+            [s for s in example_scores if s.inference_type.value == itype]
         )
-    macro = sum(per_type.values()) / len(per_type)
     return CorpusScore(
-        overall=overall,
+        overall=_weighted_mean(example_scores),
         per_type=per_type,
-        macro=macro,
+        macro=sum(per_type.values()) / len(per_type),
         n_examples=len(example_scores),
-        n_references=total_refs,
+        n_references=sum(s.n_refs for s in example_scores),
         example_scores=tuple(example_scores),
     )
 
@@ -265,6 +266,7 @@ def score_example(
         coverage=cov,
         n_outs=n_outs,
         n_refs=len(example.references),
+        weight=len(example.references),
     )
 
 
@@ -277,9 +279,18 @@ def corpus_score(
     clusters: Mapping[str, Sequence[Sequence[int]]] | None = None,
     external: ExternalScoreSidecar | None = None,
 ) -> CorpusScore:
-    """Reference-weighted corpus score over set evaluations (top_k > 1).
-    With ``clusters``, every example is scored cluster-constrained and must
-    have a clustering."""
+    """Corpus score under either strategy of ``config``.
+
+    top_k == 1: each example scores its single best inference under
+    ``config.selection`` (``top1_select``), and the corpus figures are plain
+    means.
+    top_k > 1: each example's set is scored under ``config.matching``
+    (``score_example``), and the corpus figures are weighted by reference
+    count.  With ``clusters``, every example is scored cluster-constrained
+    and must have a clustering.
+    """
+    if clusters is not None and config.top_k == 1:
+        raise ValidationError("cluster-constrained evaluation needs top_k > 1")
 
     def one(example: Example) -> ExampleScore:
         gs = generations.get(example.example_id)
@@ -288,6 +299,15 @@ def corpus_score(
                 f"no generations for example {example.example_id!r}"
             )
         outputs = select_outputs(gs, config.top_k)
+        if config.top_k == 1:
+            value = top1_select(
+                outputs, example.references, metric, config.selection,
+                external=external, example_id=example.example_id,
+            )
+            return ExampleScore(
+                example.example_id, example.inference_type, value, coverage=1.0,
+                n_outs=len(outputs), n_refs=len(example.references), weight=1,
+            )
         example_clusters = None
         if clusters is not None:
             if example.example_id not in clusters:
@@ -307,52 +327,3 @@ def corpus_score(
         )
 
     return _aggregate([one(example) for example in examples])
-
-
-@dataclass(frozen=True)
-class Top1Score:
-    overall: float
-    per_type: dict[str, float]
-    macro: float
-    n_examples: int
-    per_example: tuple[tuple[str, float], ...]
-
-
-def top1_corpus(
-    examples: Sequence[Example],
-    generations: Mapping[str, GenerationSet],
-    metric: Metric | None,
-    selection: str = "maximum",
-    *,
-    external: ExternalScoreSidecar | None = None,
-) -> Top1Score:
-    """Plain average of per-example single-inference scores."""
-
-    def one(example: Example) -> tuple[str, str, float]:
-        gs = generations.get(example.example_id)
-        if gs is None:
-            raise MissingGenerations(
-                f"no generations for example {example.example_id!r}"
-            )
-        outputs = select_outputs(gs, top_k=1)
-        value = top1_select(
-            outputs, example.references, metric, selection,
-            external=external, example_id=example.example_id,
-        )
-        return example.example_id, example.inference_type.value, value
-
-    rows = [one(example) for example in examples]
-    rows.sort(key=lambda r: r[0])
-    overall = sum(v for _, _, v in rows) / len(rows)
-    per_type: dict[str, float] = {}
-    for itype in sorted({t for _, t, _ in rows}):
-        members = [v for _, t, v in rows if t == itype]
-        per_type[itype] = sum(members) / len(members)
-    macro = sum(per_type.values()) / len(per_type)
-    return Top1Score(
-        overall=overall,
-        per_type=per_type,
-        macro=macro,
-        n_examples=len(rows),
-        per_example=tuple((eid, v) for eid, _, v in rows),
-    )

@@ -265,6 +265,17 @@ def test_eval_counts_orphan_generations(workdir, topk):
     assert json.loads((workdir / "r.json").read_text())["warnings"] == []
 
 
+@pytest.mark.parametrize("topk", ["1", "5"])
+def test_eval_with_no_examples_fails_cleanly(workdir, capsys, topk):
+    (workdir / "u.jsonl").write_text("")
+    make_generations(workdir / "g.jsonl")
+    argv = ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+            "--topk", topk, "--report", "r.json"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: no examples to report on\n"
+    assert not (workdir / "r.json").exists()
+
+
 # --- normalize -------------------------------------------------------------------
 
 

@@ -2,17 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyeval.core import EvalConfig, InferenceType, Turn, Example, make_generation_set
 from polyeval.errors import EmptyCluster, MissingGenerations, ValidationError
 from polyeval.scoring import (
+    ExampleScore,
+    _aggregate,
     cluster_constrained_score,
     corpus_score,
     coverage,
     nbest_score,
     polyagg,
     select_outputs,
-    top1_corpus,
     top1_select,
 )
 from polyeval.textmetrics import exact_match
@@ -331,7 +334,7 @@ def test_missing_generations_error():
     with pytest.raises(MissingGenerations, match="e0"):
         corpus_score([example_of("e0", ["a"])], {}, config, exact_match)
     with pytest.raises(MissingGenerations, match="e0"):
-        top1_corpus([example_of("e0", ["a"])], {}, exact_match)
+        corpus_score([example_of("e0", ["a"])], {}, EvalConfig(), exact_match)
 
 
 def test_corpus_score_constrains_exactly_when_clusters_are_given():
@@ -366,7 +369,91 @@ def test_top1_corpus_aggregates_means():
         "a": gen("a", [["hit", "x"]], mode="monomorphic_beam"),
         "b": gen("b", [["x", "miss"]], mode="monomorphic_beam"),
     }
-    result = top1_corpus([ex_a, ex_b], gens, exact_match, "maximum")
+    result = corpus_score([ex_a, ex_b], gens, EvalConfig(selection="maximum"), exact_match)
     assert result.overall == 0.5  # beam top-1 only: a hits, b misses
     assert result.per_type == {"Desire": 1.0, "Effect": 0.0}
     assert result.macro == 0.5
+
+
+@pytest.mark.parametrize("selection", ["maximum", "order"])
+def test_corpus_score_top1_is_the_plain_mean_of_top1_select(selection):
+    examples = [
+        example_of("a", ["hit", "other"], itype=InferenceType.DESIRE),
+        example_of("b", ["miss"], itype=InferenceType.EFFECT),
+        example_of("c", ["x y", "z"], itype=InferenceType.DESIRE),
+    ]
+    gens = {
+        "a": gen("a", [["nope", "hit"]]),
+        "b": gen("b", [["miss", "x"]]),
+        "c": gen("c", [["x y"]], mode="monomorphic_beam"),
+    }
+    result = corpus_score(examples, gens, EvalConfig(selection=selection), exact_match)
+    expected = [
+        top1_select(select_outputs(gens[ex.example_id], 1), ex.references,
+                    exact_match, selection)
+        for ex in examples
+    ]
+    assert [s.score for s in result.example_scores] == expected
+    assert result.overall == sum(expected) / len(expected)
+    assert result.n_examples == 3
+
+
+def test_corpus_score_top1_rejects_clusters():
+    ex = example_of("e0", ["a"])
+    gens = {"e0": gen("e0", [["a", "b"]])}
+    with pytest.raises(ValidationError, match="top_k > 1"):
+        corpus_score([ex], gens, EvalConfig(), exact_match, clusters={"e0": [[0, 1]]})
+
+
+# --- the one reducer against the formulas it replaced ----------------------------
+
+
+def _old_figures(rows, value, weight):
+    """overall, per_type and macro as the two corpus reducers computed them:
+    a sum of ``value`` over ``weight``, in example_id order."""
+    rows = sorted(rows, key=lambda r: r[0])
+    overall = sum(value(r) for r in rows) / sum(weight(r) for r in rows)
+    per_type = {}
+    for itype in sorted({r[1].value for r in rows}):
+        members = [r for r in rows if r[1].value == itype]
+        per_type[itype] = sum(value(r) for r in members) / sum(weight(r) for r in members)
+    return overall, per_type, sum(per_type.values()) / len(per_type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(
+    st.tuples(
+        st.sampled_from(list(InferenceType)),
+        st.floats(0.0, 1.0),
+        st.integers(1, 12),  # n_outs
+        st.integers(1, 12),  # n_refs
+        st.booleans(),  # coverage cap
+    ),
+    min_size=1, max_size=12,
+))
+def test_one_reducer_matches_both_old_formulas(rows):
+    rows = [(f"e{i:02d}", *row) for i, row in enumerate(rows)]
+    rows.reverse()  # the reducer orders by example_id itself
+    top1 = [
+        ExampleScore(eid, itype, score, 1.0, n_outs, n_refs, weight=1)
+        for eid, itype, score, n_outs, n_refs, _ in rows
+    ]
+    result = _aggregate(top1)
+    # top-1: plain mean of the scores
+    assert (result.overall, result.per_type, result.macro) == _old_figures(
+        rows, value=lambda r: r[2], weight=lambda r: 1
+    )
+
+    sets = [
+        ExampleScore(eid, itype, score, coverage(n_outs, n_refs, cap), n_outs,
+                     n_refs, weight=n_refs)
+        for eid, itype, score, n_outs, n_refs, cap in rows
+    ]
+    result = _aggregate(sets)
+    # set scores: score * coverage * n_refs over the total reference count
+    assert (result.overall, result.per_type, result.macro) == _old_figures(
+        rows,
+        value=lambda r: r[2] * coverage(r[3], r[4], r[5]) * r[4],
+        weight=lambda r: r[4],
+    )
+    assert result.n_references == sum(r[4] for r in rows)
