@@ -5,7 +5,7 @@ same reference ("maximum" matching), but only 0.2 under bipartite matching,
 which forbids reference reuse.  Cluster-constrained scoring goes further and
 allows only one representative per semantic cluster.
 """
-from polyeval import cluster_constrained_score, nbest_score, top1_select
+from polyeval import polyagg, top1_select
 from polyeval.textmetrics import exact_match
 
 references = ["r1", "r2", "r3", "r4", "r5"]
@@ -13,11 +13,11 @@ redundant = ["r1"] * 5
 diverse = ["r1", "r2", "r3", "r4", "r5"]
 
 print("five identical perfect outputs vs five distinct references:")
-print("  maximum matching :", nbest_score(redundant, references, exact_match, "maximum"))
-print("  bipartite        :", nbest_score(redundant, references, exact_match, "bipartite"))
+print("  maximum matching :", polyagg(redundant, references, exact_match, "maximum"))
+print("  bipartite        :", polyagg(redundant, references, exact_match, "bipartite"))
 print("five distinct perfect outputs:")
-print("  maximum matching :", nbest_score(diverse, references, exact_match, "maximum"))
-print("  bipartite        :", nbest_score(diverse, references, exact_match, "bipartite"))
+print("  maximum matching :", polyagg(diverse, references, exact_match, "maximum"))
+print("  bipartite        :", polyagg(diverse, references, exact_match, "bipartite"))
 
 # Top-1 rules for single-best evaluation: "maximum" scans every output,
 # "order" trusts the model's own ranking and evaluates only the first.
@@ -31,4 +31,4 @@ print("  order selection  :", top1_select(["junk", "r1"], references, exact_matc
 outputs = ["r1", "r1 paraphrased", "r2"]
 clusters = [[0, 1], [2]]
 print("\ncluster-constrained bipartite on", outputs, "clusters", clusters)
-print("  score:", cluster_constrained_score(outputs, clusters, references, exact_match))
+print("  score:", polyagg(outputs, references, exact_match, clusters=clusters))

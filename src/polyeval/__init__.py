@@ -63,12 +63,9 @@ from .diversity import (
 from .scoring import (
     CorpusScore,
     ExampleScore,
-    cluster_constrained_score,
     corpus_score,
     coverage,
-    nbest_score,
     polyagg,
-    score_example,
     top1_select,
 )
 from .stats import (

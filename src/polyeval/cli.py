@@ -138,6 +138,10 @@ def _scale_bleu(body: dict) -> dict:
 def _cmd_eval(args) -> tuple:
     if args.clusters is not None and args.topk <= 1:
         raise ValidationError("--clusters needs --topk > 1")
+    if args.external_scores is not None and args.metric != "external":
+        raise ValidationError("--external-scores needs --metric external")
+    if args.embeddings is not None and args.metric != "embed":
+        raise ValidationError("--embeddings needs --metric embed")
     examples = _load_examples(args.examples)
     generations, dropped = _load_generations(args.generations)
 
@@ -150,10 +154,7 @@ def _cmd_eval(args) -> tuple:
             raise ValidationError("--metric external requires --external-scores")
         metric = None
     else:
-        metric = make_metric(
-            "embed_cosine" if args.metric == "embed" else args.metric, embeddings
-        )
-        external = None
+        metric = make_metric(args.metric, embeddings)
 
     config = EvalConfig(
         top_k=args.topk,
@@ -200,6 +201,8 @@ def _cmd_eval(args) -> tuple:
 def _cmd_diversity(args) -> tuple:
     if args.topk < 0:
         raise ValidationError(f"--topk must be >= 0, got {args.topk}")
+    if not 0.0 < args.tau < 1.0:
+        raise ValidationError(f"--tau must be in (0, 1), got {args.tau}")
     generations, dropped = _load_generations(args.generations)
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     gold = load_clusters(args.gold_clusters) if args.gold_clusters else None

@@ -1,6 +1,10 @@
-"""The evaluation engine: assignment aggregation, coverage moderation,
-reference-count weighting, top-1 selection rules, N-best matching modes,
-and cluster-constrained scoring.
+"""The evaluation engine: one set scorer, one top-1 scorer, coverage
+moderation and reference-count weighting.
+
+``polyagg`` scores a set of outputs: score matrix, optional max-pooling of
+output rows into cluster rows, then bipartite or maximum matching.
+``top1_select`` applies the paper's top-1 rules.  Both take their scores
+from the metric or from an external sidecar.
 
 Per-example scoring is pure.  Both strategies, top-1 selection and set
 scoring, give one ``ExampleScore`` per example, and one reducer turns them into
@@ -19,17 +23,6 @@ from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
-
-
-def polyagg(outputs: Sequence[str], references: Sequence[str], metric: Metric) -> float:
-    """Score a set of outputs against a set of references.
-
-    Builds the outputs x references score matrix, finds the maximal injective
-    assignment, and averages the assigned scores.  At most one output can
-    claim each reference, so surface-level variations of one idea cannot
-    cover a diverse reference set.
-    """
-    return _match(score_matrix(outputs, references, metric), "bipartite")
 
 
 def coverage(n_outs: int, n_refs: int, cap: bool = True) -> float:
@@ -57,31 +50,6 @@ def _example_matrix(
         raise type(exc)(f"{exc} (example {example_id!r})") from exc
 
 
-def _match(
-    matrix: np.ndarray, matching: str, groups: Sequence[Sequence[int]] | None = None
-) -> float:
-    """Set reducer, after max-pooling output rows into cluster rows when
-    ``groups`` is given."""
-    if groups is not None:
-        import numpy as np
-
-        matrix = np.stack([matrix[group].max(axis=0) for group in groups])
-    if matching == "bipartite":
-        return mean_assigned(matrix, solve_max(matrix))
-    if matching == "maximum":
-        return float(matrix.max(axis=1).mean())
-    raise ValidationError(f"unknown matching {matching!r}")
-
-
-def _select(matrix: np.ndarray, selection: str) -> float:
-    """Top-1 reducer over an outputs x references matrix."""
-    if selection == "order":
-        return float(matrix[0].max())
-    if selection == "maximum":
-        return float(matrix.max())
-    raise ValidationError(f"unknown selection {selection!r}")
-
-
 def top1_select(
     outputs: Sequence[str],
     references: Sequence[str],
@@ -103,21 +71,11 @@ def top1_select(
     if selection == "order" and external is None:
         outputs = outputs[:1]  # the metric need not score the other rows
     matrix = _example_matrix(outputs, references, metric, external, example_id)
-    return _select(matrix, selection)
-
-
-def nbest_score(
-    outputs: Sequence[str],
-    references: Sequence[str],
-    metric: Metric,
-    matching: str = "bipartite",
-) -> float:
-    """Set score under the chosen matching mode.
-
-    bipartite: injective output->reference mapping (the assignment optimum).
-    maximum:   every output keeps its best reference; references may repeat.
-    """
-    return _match(score_matrix(outputs, references, metric), matching)
+    if selection == "order":
+        return float(matrix[0].max())
+    if selection == "maximum":
+        return float(matrix.max())
+    raise ValidationError(f"unknown selection {selection!r}")
 
 
 def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
@@ -147,22 +105,42 @@ def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
     return out
 
 
-def cluster_constrained_score(
+def polyagg(
     outputs: Sequence[str],
-    clusters: Sequence[Sequence[int]],
     references: Sequence[str],
-    metric: Metric,
+    metric: Metric | None = None,
     matching: str = "bipartite",
+    *,
+    clusters: Sequence[Sequence[int]] | None = None,
+    external: ExternalScoreSidecar | None = None,
+    example_id: str = "?",
 ) -> float:
-    """Set score with at most one representative used per cluster.
+    """Score a set of outputs against a set of references.
 
-    The representative of each cluster is chosen to optimize the score: the
-    clusters x references matrix holds each cluster's best member score per
-    reference, so the assignment optimum over that matrix is the exact
-    optimum over all (representative choice, injective mapping) combinations.
+    bipartite: at most one output claims each reference (the assignment
+               optimum), so rephrasings of one idea cannot cover a diverse
+               reference set.
+    maximum:   every output keeps its best reference; references may repeat.
+
+    With ``clusters``, at most one representative per cluster is used: each
+    cluster row holds its best member's score per reference, so the optimum
+    over that matrix is the exact optimum over all (representative choice,
+    mapping) combinations.  Scores come from ``external`` (keyed by
+    ``example_id``) when given.
     """
-    groups = validate_clustering(clusters, len(outputs))
-    return _match(score_matrix(outputs, references, metric), matching, groups)
+    groups = None
+    if clusters is not None:
+        groups = validate_clustering(clusters, len(outputs), example_id)
+    matrix = _example_matrix(outputs, references, metric, external, example_id)
+    if groups is not None:
+        import numpy as np
+
+        matrix = np.stack([matrix[group].max(axis=0) for group in groups])
+    if matching == "bipartite":
+        return mean_assigned(matrix, solve_max(matrix))
+    if matching == "maximum":
+        return float(matrix.max(axis=1).mean())
+    raise ValidationError(f"unknown matching {matching!r}")
 
 
 @dataclass(frozen=True)
@@ -236,40 +214,6 @@ def select_outputs(generation_set: GenerationSet, top_k: int) -> list[str]:
     return outputs[:top_k]
 
 
-def score_example(
-    example: Example,
-    outputs: Sequence[str],
-    metric: Metric,
-    *,
-    matching: str = "bipartite",
-    coverage_cap: bool = True,
-    clusters: Sequence[Sequence[int]] | None = None,
-    external: ExternalScoreSidecar | None = None,
-) -> ExampleScore:
-    """Set score plus coverage for one example (the top-k > 1 path)."""
-    groups = None
-    n_outs = len(outputs)
-    if clusters is not None:
-        groups = validate_clustering(clusters, len(outputs), example.example_id)
-        # only one generation per cluster can count, so coverage uses the
-        # number of clusters rather than the raw output count
-        n_outs = len(groups)
-    matrix = _example_matrix(
-        outputs, example.references, metric, external, example.example_id
-    )
-    value = _match(matrix, matching, groups)
-    cov = coverage(n_outs, len(example.references), coverage_cap)
-    return ExampleScore(
-        example_id=example.example_id,
-        inference_type=example.inference_type,
-        score=value,
-        coverage=cov,
-        n_outs=n_outs,
-        n_refs=len(example.references),
-        weight=len(example.references),
-    )
-
-
 def corpus_score(
     examples: Sequence[Example],
     generations: Mapping[str, GenerationSet],
@@ -285,7 +229,7 @@ def corpus_score(
     ``config.selection`` (``top1_select``), and the corpus figures are plain
     means.
     top_k > 1: each example's set is scored under ``config.matching``
-    (``score_example``), and the corpus figures are weighted by reference
+    (``polyagg``), and the corpus figures are weighted by reference
     count.  With ``clusters``, every example is scored cluster-constrained
     and must have a clustering.
     """
@@ -299,6 +243,7 @@ def corpus_score(
                 f"no generations for example {example.example_id!r}"
             )
         outputs = select_outputs(gs, config.top_k)
+        n_refs = len(example.references)
         if config.top_k == 1:
             value = top1_select(
                 outputs, example.references, metric, config.selection,
@@ -306,9 +251,10 @@ def corpus_score(
             )
             return ExampleScore(
                 example.example_id, example.inference_type, value, coverage=1.0,
-                n_outs=len(outputs), n_refs=len(example.references), weight=1,
+                n_outs=len(outputs), n_refs=n_refs, weight=1,
             )
         example_clusters = None
+        n_outs = len(outputs)
         if clusters is not None:
             if example.example_id not in clusters:
                 raise ValidationError(
@@ -316,14 +262,18 @@ def corpus_score(
                     "evaluation needs a clustering"
                 )
             example_clusters = clusters[example.example_id]
-        return score_example(
-            example,
-            outputs,
-            metric,
-            matching=config.matching,
-            coverage_cap=config.coverage_cap,
-            clusters=example_clusters,
-            external=external,
+            # only one generation per cluster can count, so coverage uses the
+            # number of clusters rather than the raw output count
+            n_outs = len(example_clusters)
+        value = polyagg(
+            outputs, example.references, metric, config.matching,
+            clusters=example_clusters, external=external,
+            example_id=example.example_id,
+        )
+        return ExampleScore(
+            example.example_id, example.inference_type, value,
+            coverage(n_outs, n_refs, config.coverage_cap),
+            n_outs=n_outs, n_refs=n_refs, weight=n_refs,
         )
 
     return _aggregate([one(example) for example in examples])

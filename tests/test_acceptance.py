@@ -27,7 +27,7 @@ from polyeval.decode import (
 from polyeval.diversity import bcubed
 from polyeval.errors import ExcludedType
 from polyeval.report import render_report
-from polyeval.scoring import corpus_score, coverage, nbest_score, top1_select
+from polyeval.scoring import corpus_score, coverage, polyagg, top1_select
 from polyeval.stats import cohen_kappa, gwet_ac1, mcnemar, resolve_and_repeat
 from polyeval.textmetrics import exact_match
 
@@ -125,7 +125,7 @@ def test_corpus_score_fixture():
         ex = _example("solo", refs)
         gens = {"solo": make_generation_set("solo", "polymorphic", [outs])[0]}
         result = corpus_score([ex], gens, EvalConfig(top_k=9), exact_match)
-        expected = nbest_score(outs, refs, exact_match, "bipartite") * coverage(
+        expected = polyagg(outs, refs, exact_match, "bipartite") * coverage(
             len(outs), len(refs)
         )
         assert abs(result.overall - expected) <= 1e-12
@@ -139,8 +139,8 @@ def test_corpus_score_fixture():
 def test_redundancy_discrimination():
     outputs = ["the one answer"] * 5
     refs = ["the one answer", "r2", "r3", "r4", "r5"]
-    bip = nbest_score(outputs, refs, exact_match, "bipartite")
-    mx = nbest_score(outputs, refs, exact_match, "maximum")
+    bip = polyagg(outputs, refs, exact_match, "bipartite")
+    mx = polyagg(outputs, refs, exact_match, "maximum")
     assert bip == 0.2
     assert mx == 1.0
     assert top1_select(outputs, refs, exact_match, "maximum") == 1.0

@@ -250,6 +250,24 @@ def test_eval_clusters_need_topk_above_1(workdir, capsys, clusters):
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize("metric,flag,error", [
+    ("bleu", "--external-scores", "--external-scores needs --metric external"),
+    ("embed", "--external-scores", "--external-scores needs --metric external"),
+    ("bleu", "--embeddings", "--embeddings needs --metric embed"),
+    ("external", "--embeddings", "--embeddings needs --metric embed"),
+])
+@pytest.mark.parametrize("path", ["bad.jsonl", "missing.jsonl"])
+def test_eval_rejects_a_file_its_metric_ignores(workdir, capsys, metric, flag,
+                                                 error, path):
+    # the ignored file is not read, so neither a bad nor a missing one matters
+    make_examples(workdir / "u.jsonl")
+    make_generations(workdir / "g.jsonl")
+    write_lines(workdir / "bad.jsonl", ["not json"])
+    assert run(EVAL_BASE + ["--metric", metric, flag, path]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (workdir / "r.json").exists()
+
+
 @pytest.mark.parametrize("topk", ["1", "5"])
 def test_eval_counts_orphan_generations(workdir, topk):
     make_examples(workdir / "u.jsonl", n=1)
@@ -401,6 +419,19 @@ def test_diversity_rejects_negative_topk(workdir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--topk" in err
     assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("tau", ["5", "0", "1", "-1", "nan", "inf"])
+def test_diversity_rejects_tau_outside_the_unit_interval(workdir, capsys, tau):
+    # checked also when gold clusters, not --tau, decide the clustering
+    make_generations(workdir / "g.jsonl", n=1)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    code = run(["diversity", "--generations", "g.jsonl", "--gold-clusters", "gold.jsonl",
+                "--tau", tau, "--out-clusters", "c.jsonl", "--report", "r.json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tau ") and err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == ["g.jsonl", "gold.jsonl"]
 
 
 def test_diversity_writes_no_clusters_when_the_report_cannot_be_written(workdir, capsys):

@@ -35,6 +35,9 @@ FORMS = {
     "diversity": ["diversity", "--generations", G_DBS,
                   "--embeddings", f"{GOLDEN}/embeddings.jsonl",
                   "--out-clusters", "out.jsonl"],
+    "diversity_gold": ["diversity", "--generations", G_DBS, "--topk", "5",
+                       "--gold-clusters", f"{GOLDEN}/clusters.jsonl",
+                       "--out-clusters", "out.jsonl"],
     "datastats": ["datastats", "--examples", UNIFIED],
     "stats_agree": ["stats", "agree", "--in", "ann.jsonl"],
     "stats_mcnemar": ["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "5"],

@@ -10,15 +10,13 @@ from polyeval.errors import EmptyCluster, MissingGenerations, ValidationError
 from polyeval.scoring import (
     ExampleScore,
     _aggregate,
-    cluster_constrained_score,
     corpus_score,
     coverage,
-    nbest_score,
     polyagg,
     select_outputs,
     top1_select,
 )
-from polyeval.textmetrics import exact_match
+from polyeval.textmetrics import ExternalScoreSidecar, bleu, exact_match, score_matrix
 
 
 def example_of(example_id, references, itype=InferenceType.DESIRE):
@@ -104,15 +102,15 @@ def test_top1_order_uses_first_parsed_inference():
 
 def test_nbest_identity_both_matchings():
     refs = ["a", "b", "c"]
-    assert nbest_score(refs, refs, exact_match, "bipartite") == 1.0
-    assert nbest_score(refs, refs, exact_match, "maximum") == 1.0
+    assert polyagg(refs, refs, exact_match, "bipartite") == 1.0
+    assert polyagg(refs, refs, exact_match, "maximum") == 1.0
 
 
 def test_nbest_redundancy_discrimination():
     outputs = ["r1"] * 5
     refs = ["r1", "r2", "r3", "r4", "r5"]
-    assert nbest_score(outputs, refs, exact_match, "maximum") == 1.0
-    assert nbest_score(outputs, refs, exact_match, "bipartite") == pytest.approx(
+    assert polyagg(outputs, refs, exact_match, "maximum") == 1.0
+    assert polyagg(outputs, refs, exact_match, "bipartite") == pytest.approx(
         0.2, abs=1e-15
     )
 
@@ -124,9 +122,9 @@ def test_nbest_fixture_rectangular():
     }
     metric = lambda o, r: scores[(o, r)]
     outs, refs = ["o1", "o2"], ["r1", "r2", "r3"]
-    assert nbest_score(outs, refs, metric, "bipartite") == pytest.approx(0.85, abs=1e-12)
+    assert polyagg(outs, refs, metric, "bipartite") == pytest.approx(0.85, abs=1e-12)
     # row maxima coincide with the assignment here
-    assert nbest_score(outs, refs, metric, "maximum") == pytest.approx(0.85, abs=1e-12)
+    assert polyagg(outs, refs, metric, "maximum") == pytest.approx(0.85, abs=1e-12)
 
 
 def test_bipartite_never_exceeds_maximum_property():
@@ -139,8 +137,8 @@ def test_bipartite_never_exceeds_maximum_property():
         n_refs = int(rng.integers(n_outs, 6))
         outs = [" ".join(rng.choice(words, size=rng.integers(1, 4))) for _ in range(n_outs)]
         refs = [" ".join(rng.choice(words, size=rng.integers(1, 4))) for _ in range(n_refs)]
-        bip = nbest_score(outs, refs, exact_match, "bipartite")
-        mx = nbest_score(outs, refs, exact_match, "maximum")
+        bip = polyagg(outs, refs, exact_match, "bipartite")
+        mx = polyagg(outs, refs, exact_match, "maximum")
         assert bip <= mx + 1e-12
 
 
@@ -158,8 +156,8 @@ def test_duplicate_output_properties():
             )
         )
         dup = outs + [outs[int(rng.integers(0, len(outs)))]]
-        base = nbest_score(outs, refs, exact_match, "bipartite")
-        with_dup = nbest_score(dup, refs, exact_match, "bipartite")
+        base = polyagg(outs, refs, exact_match, "bipartite")
+        with_dup = polyagg(dup, refs, exact_match, "bipartite")
         assert with_dup <= base + 1e-12
         assert top1_select(dup, refs, exact_match, "maximum") == top1_select(
             outs, refs, exact_match, "maximum"
@@ -174,16 +172,16 @@ def test_singleton_clusters_equal_nbest():
     refs = ["a", "x", "b"]
     singletons = [[0], [1], [2]]
     for matching in ("bipartite", "maximum"):
-        assert cluster_constrained_score(
-            outs, singletons, refs, exact_match, matching
-        ) == nbest_score(outs, refs, exact_match, matching)
+        assert polyagg(
+            outs, refs, exact_match, matching, clusters=singletons
+        ) == polyagg(outs, refs, exact_match, matching)
 
 
 def test_one_cluster_takes_best_representative():
     outs = ["a", "b", "c"]
     refs = ["c", "x"]
-    assert cluster_constrained_score(outs, [[0, 1, 2]], refs, exact_match, "bipartite") == 1.0
-    assert cluster_constrained_score(outs, [[0, 1, 2]], refs, exact_match, "maximum") == 1.0
+    assert polyagg(outs, refs, exact_match, "bipartite", clusters=[[0, 1, 2]]) == 1.0
+    assert polyagg(outs, refs, exact_match, "maximum", clusters=[[0, 1, 2]]) == 1.0
 
 
 def brute_cluster_constrained(outs, clusters, refs, metric):
@@ -214,7 +212,7 @@ def test_cluster_constrained_matches_brute_force():
             for g in sorted(set(labels.tolist()))
         ]
         metric = lambda o, r: exact_match(o.split(" ", 1)[1], r)
-        got = cluster_constrained_score(outs, clusters, refs, metric, "bipartite")
+        got = polyagg(outs, refs, metric, "bipartite", clusters=clusters)
         want = brute_cluster_constrained(outs, clusters, refs, metric)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -224,7 +222,7 @@ def test_cluster_constrained_exact_fixture():
     outs = ["r1", "r2", "zzz"]
     refs = ["r1", "r2", "r3"]
     clusters = [[0, 1], [2]]
-    got = cluster_constrained_score(outs, clusters, refs, exact_match, "bipartite")
+    got = polyagg(outs, refs, exact_match, "bipartite", clusters=clusters)
     want = brute_cluster_constrained(outs, clusters, refs, exact_match)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.5, abs=1e-12)  # one rep matches, the other can't
@@ -234,12 +232,39 @@ def test_cluster_validation_errors():
     outs = ["a", "b"]
     refs = ["a"]
     with pytest.raises(EmptyCluster):
-        cluster_constrained_score(outs, [[0, 1], []], refs, exact_match)
+        polyagg(outs, refs, exact_match, clusters=[[0, 1], []])
     with pytest.raises(ValidationError):
-        cluster_constrained_score(outs, [[0]], refs, exact_match)  # not covering
+        polyagg(outs, refs, exact_match, clusters=[[0]])  # not covering
     with pytest.raises(ValidationError):
-        cluster_constrained_score(outs, [[0, 1], [1]], refs, exact_match)  # overlap
+        polyagg(outs, refs, exact_match, clusters=[[0, 1], [1]])  # overlap
 
+
+
+@pytest.mark.parametrize("matching", ["bipartite", "maximum"])
+def test_external_scores_with_clusters_equal_the_metric(matching):
+    outs = ["they feel proud", "they are proud", "they want rest", "rest now"]
+    refs = ["they feel proud of it", "they want to rest", "they cook"]
+    clusters = [[0, 1], [2, 3]]
+    sidecar = ExternalScoreSidecar({"e1": score_matrix(outs, refs, bleu)})
+    assert polyagg(
+        outs, refs, matching=matching, clusters=clusters, external=sidecar,
+        example_id="e1",
+    ) == polyagg(outs, refs, bleu, matching, clusters=clusters)
+
+
+@pytest.mark.parametrize("clusters", [[[0, 1], []], [[0]], [[0, 1], [1]], [[0, 2]]],
+                         ids=["empty", "not_covering", "overlap", "out_of_range"])
+def test_bad_clustering_names_the_example(clusters):
+    with pytest.raises(ValidationError, match="'e7'"):
+        polyagg(["a", "b"], ["a"], exact_match, clusters=clusters, example_id="e7")
+
+
+def test_failing_metric_names_the_example():
+    def failing(output, reference):
+        raise ValidationError("no score")
+
+    with pytest.raises(ValidationError, match=r"\(example '\?'\)$"):
+        polyagg(["a"], ["b"], failing)
 
 # --- corpus scoring ---------------------------------------------------------------
 
@@ -274,7 +299,7 @@ def test_single_example_corpus_reduces_to_score_times_coverage():
         gens = {"solo": gen("solo", [outs])}
         config = EvalConfig(top_k=10, matching="bipartite")
         result = corpus_score([ex], gens, config, exact_match)
-        expected = nbest_score(outs, refs, exact_match, "bipartite") * coverage(
+        expected = polyagg(outs, refs, exact_match, "bipartite") * coverage(
             len(outs), len(refs)
         )
         assert abs(result.overall - expected) <= 1e-12
