@@ -11,8 +11,9 @@ from polyeval import (
     beam_search,
     diverse_beam_search,
     format_polymorphic,
+    pack_runs,
     parse_polymorphic,
-    sample_runs,
+    sample_sequences,
 )
 
 END = "</s>"
@@ -62,8 +63,8 @@ list_lm = NgramLM(
     },
     end_token=END,
 )
-gen_set, warnings = sample_runs(
-    list_lm, example_id="demo", runs=3, temperature=1.0, seed=42, max_len=8
+gen_set, warnings = pack_runs(
+    "demo", sample_sequences(list_lm, n=3, temperature=1.0, seed=42, max_len=8)
 )
 print("\nthree sampled list-style runs (seeded):")
 for run in gen_set.runs:

@@ -6,7 +6,6 @@ paired system comparison runs McNemar's test with random resolution of
 annotator disagreement, repeated for stability.
 """
 from polyeval import (
-    AnnotationTable,
     binarize,
     chi_square_proportions,
     cohen_kappa,
@@ -16,14 +15,12 @@ from polyeval import (
     resolve_and_repeat,
 )
 
-table = AnnotationTable(
-    (
-        ("i1", "always_likely", "sometimes_possible"),
-        ("i2", "sometimes_possible", "sometimes_possible"),
-        ("i3", "never_farfetched", "invalid_nonsense"),
-        ("i4", "always_likely", "always_likely"),
-    )
-)
+table = [
+    ("i1", "always_likely", "sometimes_possible"),
+    ("i2", "sometimes_possible", "sometimes_possible"),
+    ("i3", "never_farfetched", "invalid_nonsense"),
+    ("i4", "always_likely", "always_likely"),
+]
 pairs = [(a, b) for _, a, b in binarize(table)]
 print("binarized pairs:", pairs)
 

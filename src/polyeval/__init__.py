@@ -7,7 +7,7 @@ scorers.
 
 __version__ = "0.1.0"
 
-from .assignment import Assignment, mean_assigned, solve_max
+from .assignment import Assignment, solve_max
 from .core import (
     CONVOSENSE_CORE,
     EvalConfig,
@@ -19,7 +19,6 @@ from .core import (
     example_to_record,
     make_generation_set,
     normalize_text,
-    question_for,
     validate_example,
     validate_generation_set,
 )
@@ -50,7 +49,6 @@ from .decode import (
     pack_runs,
     parse_polymorphic,
     sample_many,
-    sample_runs,
     sample_sequences,
 )
 from .diversity import (
@@ -69,7 +67,6 @@ from .scoring import (
     top1_select,
 )
 from .stats import (
-    AnnotationTable,
     McNemarResult,
     PairedT,
     RepeatReport,

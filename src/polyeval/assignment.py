@@ -46,7 +46,7 @@ _LSAP = "scipy.optimize._lsap"
 @dataclass(frozen=True)
 class Assignment:
     pairs: tuple[tuple[int, int], ...]
-    objective: float
+    objective: float  # sum of the assigned entries, in pair order
     unique: bool  # no other assignment is within 1e-9 of the optimum
 
 
@@ -198,10 +198,3 @@ def solve_max(matrix) -> Assignment:
     objective = float(sum(a[r, c] for r, c in pairs))
     return Assignment(tuple(pairs), objective, unique)
 
-
-def mean_assigned(matrix, assignment: Assignment) -> float:
-    """Arithmetic mean of the matrix entries over the assigned pairs."""
-    import numpy as np
-
-    a = np.asarray(matrix, dtype=float)
-    return float(sum(a[r, c] for r, c in assignment.pairs) / len(assignment.pairs))

@@ -55,7 +55,7 @@ from .errors import (
 from .report import render_report
 from .scoring import corpus_score
 from .stats import (
-    AnnotationTable,
+    LABEL_SETS,
     binarize,
     chi_square_proportions,
     cohen_kappa,
@@ -142,19 +142,18 @@ def _cmd_eval(args) -> tuple:
         raise ValidationError("--external-scores needs --metric external")
     if args.embeddings is not None and args.metric != "embed":
         raise ValidationError("--embeddings needs --metric embed")
+    if args.metric == "embed" and args.embeddings is None:
+        raise ValidationError("--metric embed requires --embeddings")
+    if args.metric == "external" and args.external_scores is None:
+        raise ValidationError("--metric external requires --external-scores")
     examples = _load_examples(args.examples)
     generations, dropped = _load_generations(args.generations)
 
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    external = load_external_scores(args.external_scores) if args.external_scores else None
+    embeddings = load_embeddings(args.embeddings) if args.embeddings is not None else None
+    external = (load_external_scores(args.external_scores)
+                if args.external_scores is not None else None)
     clusters = load_clusters(args.clusters) if args.clusters is not None else None
-
-    if args.metric == "external":
-        if external is None:
-            raise ValidationError("--metric external requires --external-scores")
-        metric = None
-    else:
-        metric = make_metric(args.metric, embeddings)
+    metric = None if args.metric == "external" else make_metric(args.metric, embeddings)
 
     config = EvalConfig(
         top_k=args.topk,
@@ -272,11 +271,21 @@ def _cmd_datastats(args) -> tuple:
 # --- stats ---------------------------------------------------------------------
 
 
+_ANNOTATION_VALUES = {"task": tuple(LABEL_SETS), "system": ("X", "Y"), "annotator": ("A", "B")}
+
+
 def _load_annotations(path: str) -> dict:
     """rows[(task, system)][item_id] -> {annotator: label}"""
     def parse(record: dict) -> tuple:
         key = tuple(get_field(record, f, str) for f in ("task", "system", "item_id", "annotator"))
-        return key, get_field(record, "label", str)
+        label = get_field(record, "label", str)
+        for name, allowed in _ANNOTATION_VALUES.items():
+            if record[name] not in allowed:
+                raise ValidationError(
+                    f"{name} must be {' or '.join(allowed)}, got {record[name]!r}")
+        if label not in LABEL_SETS[key[0]]:
+            raise ValidationError(f"label {label!r} is not a {key[0]} label")
+        return key, label
 
     labels = load_keyed(path, parse, "annotation")
     if not labels:
@@ -287,7 +296,7 @@ def _load_annotations(path: str) -> dict:
     return rows
 
 
-def _paired_items(items: dict) -> AnnotationTable:
+def _paired_items(items: dict) -> list[tuple[str, str, str]]:
     table = []
     for item_id in sorted(items):
         labels = items[item_id]
@@ -296,7 +305,7 @@ def _paired_items(items: dict) -> AnnotationTable:
                 f"item {item_id!r} needs exactly annotators A and B, has {sorted(labels)}"
             )
         table.append((item_id, labels["A"], labels["B"]))
-    return AnnotationTable(tuple(table))
+    return table
 
 
 def _cmd_stats_agree(args) -> tuple:

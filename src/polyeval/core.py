@@ -136,20 +136,6 @@ CONVOSENSE_CORE = frozenset(
 )
 
 
-def question_for(inference_type: InferenceType) -> tuple[str, str]:
-    """Return the (question, answer_prefix) pair for a canonical type."""
-    return INFERENCE_PROMPTS[inference_type]
-
-
-def inference_type_from_name(name: str, example_id: str = "?") -> InferenceType:
-    try:
-        return InferenceType(name)
-    except ValueError:
-        raise UnknownInferenceType(
-            f"example {example_id!r}: unknown inference type {name!r}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class Turn:
     speaker_tag: str
@@ -178,14 +164,6 @@ class Example:
     @property
     def target_index(self) -> int:
         return len(self.dialogue) - 1
-
-    @property
-    def question(self) -> str:
-        return self.inference_type.question
-
-    @property
-    def answer_prefix(self) -> str:
-        return self.inference_type.answer_prefix
 
 
 @dataclass(frozen=True)
@@ -260,7 +238,13 @@ def validate_example(raw: dict) -> Example:
     invariants: nonempty references, alternating speaker tags, known type.
     """
     example_id = example_id_of(raw)
-    itype = inference_type_from_name(get_field(raw, "type", str), example_id)
+    type_name = get_field(raw, "type", str)
+    try:
+        itype = InferenceType(type_name)
+    except ValueError:
+        raise UnknownInferenceType(
+            f"example {example_id!r}: unknown inference type {type_name!r}"
+        ) from None
 
     turns = []
     for entry in get_field(raw, "dialogue", list, of=dict):
@@ -297,8 +281,8 @@ def example_to_record(example: Example) -> dict:
             {"speaker": t.speaker_tag, "text": t.text} for t in example.dialogue
         ],
         "type": example.inference_type.value,
-        "question": example.question,
-        "answer_prefix": example.answer_prefix,
+        "question": example.inference_type.question,
+        "answer_prefix": example.inference_type.answer_prefix,
         "references": list(example.references),
     }
 

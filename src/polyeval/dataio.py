@@ -234,17 +234,6 @@ def normalize(raw: RawRecord, seed: int = 0) -> Example:
     return Example(raw.example_id, tuple(turns), mapped, references)
 
 
-def example_to_raw_record(example: Example) -> RawRecord:
-    """View a unified Example as a RawRecord (for re-normalization)."""
-    return RawRecord(
-        example.example_id,
-        "generic",
-        tuple((t.speaker_tag, t.text) for t in example.dialogue),
-        example.inference_type.value,
-        example.references,
-    )
-
-
 def accumulate_runs(
     generation_set: GenerationSet,
     setting: str,
@@ -308,15 +297,6 @@ class EmbeddingStore:
         self._vectors = vectors
         self._found: dict[str, tuple[np.ndarray, float]] = {}
         self.dim = next(iter(dims)) if dims else 0
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def __contains__(self, text: str) -> bool:
-        return text_key(text) in self._vectors
-
-    def lookup(self, text: str, example_id: str | None = None) -> np.ndarray:
-        return self.lookup_with_norm(text, example_id)[0]
 
     def lookup_with_norm(
         self, text: str, example_id: str | None = None

@@ -495,23 +495,6 @@ def pack_runs(
     return gen_set, warnings
 
 
-def sample_runs(
-    scorer: TokenScorer,
-    example_id: str,
-    runs: int = 3,
-    temperature: float = 1.0,
-    seed: int = 0,
-    salt: int = 0,
-    max_len: int = 32,
-    repetition_penalty: float = 1.0,
-) -> tuple[GenerationSet, list[str]]:
-    """Sample ``runs`` sequences and package them with ``pack_runs``."""
-    sequences = sample_sequences(
-        scorer, runs, temperature, seed, salt, max_len, repetition_penalty
-    )
-    return pack_runs(example_id, sequences)
-
-
 # --- numbered-list codec ----------------------------------------------------
 
 _LIST_BOUNDARY = re.compile(r"(?:^\s*|;\s*)\((\d+)\)\s*")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .assignment import mean_assigned, solve_max
+from .assignment import solve_max
 from .core import Example, EvalConfig, GenerationMode, GenerationSet, InferenceType
 from .errors import EmptyCluster, MissingGenerations, PolyevalError, ValidationError
 from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
@@ -137,7 +137,8 @@ def polyagg(
 
         matrix = np.stack([matrix[group].max(axis=0) for group in groups])
     if matching == "bipartite":
-        return mean_assigned(matrix, solve_max(matrix))
+        assignment = solve_max(matrix)
+        return assignment.objective / len(assignment.pairs)
     if matching == "maximum":
         return float(matrix.max(axis=1).mean())
     raise ValidationError(f"unknown matching {matching!r}")

@@ -34,36 +34,30 @@ NOVELTY_LABELS = {
     "new_simple": True,
     "purely_repetitive": False,
 }
-_LABEL_SETS = {"reasonability": REASONABILITY_LABELS, "novelty": NOVELTY_LABELS}
+LABEL_SETS = {"reasonability": REASONABILITY_LABELS, "novelty": NOVELTY_LABELS}
 
 
-@dataclass(frozen=True)
-class AnnotationTable:
-    """Paired annotator labels: one (item_id, label_a, label_b) per item."""
+def binarize(items: Sequence[tuple[str, str, str]]) -> list[tuple[str, bool, bool]]:
+    """Convert paired annotator labels, one ``(item_id, label_a, label_b)``
+    per item, to positive/negative judgments.
 
-    items: tuple[tuple[str, str, str], ...]
-
-
-def binarize(table: AnnotationTable) -> list[tuple[str, bool, bool]]:
-    """Convert paired labels to positive/negative judgments.
-
-    All labels in one table must come from a single task's label set.
+    All labels must come from a single task's label set.
     """
-    if not table.items:
+    if not items:
         raise EmptyTable("annotation table is empty")
     tasks = set()
-    for _, label_a, label_b in table.items:
+    for _, label_a, label_b in items:
         for label in (label_a, label_b):
-            found = [task for task, labels in _LABEL_SETS.items() if label in labels]
+            found = [task for task, labels in LABEL_SETS.items() if label in labels]
             if not found:
                 raise UnknownLabel(f"unknown annotation label {label!r}")
             tasks.add(found[0])
     if len(tasks) > 1:
         raise MixedLabelSets(f"table mixes label sets: {sorted(tasks)}")
-    labels = _LABEL_SETS[tasks.pop()]
+    labels = LABEL_SETS[tasks.pop()]
     return [
         (item_id, labels[label_a], labels[label_b])
-        for item_id, label_a, label_b in table.items
+        for item_id, label_a, label_b in items
     ]
 
 

@@ -187,9 +187,9 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
     """Resolve a metric id to a pair-scoring callable."""
     if metric_id == "bleu":
         return bleu
-    if metric_id in ("embed", "embed_cosine"):
+    if metric_id == "embed":
         if embeddings is None:
-            raise ValidationError("embed_cosine metric requires an embedding store")
+            raise ValidationError("embed metric requires an embedding store")
         metric = functools.partial(embed_cosine, store=embeddings)
         metric.prepare = functools.partial(_embedding, store=embeddings)
         metric.compare = _cosine
@@ -262,9 +262,6 @@ class ExternalScoreSidecar:
 
     def __init__(self, scores: dict[str, np.ndarray]):
         self._scores = scores
-
-    def __contains__(self, example_id: str) -> bool:
-        return example_id in self._scores
 
     def matrix_for(self, example_id: str, n_outputs: int, n_references: int) -> np.ndarray:
         try:

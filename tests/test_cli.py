@@ -268,6 +268,19 @@ def test_eval_rejects_a_file_its_metric_ignores(workdir, capsys, metric, flag,
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize("metric,flag", [
+    ("embed", "--embeddings"), ("external", "--external-scores"),
+])
+def test_eval_requires_its_metric_file_before_reading_any(workdir, capsys, metric, flag):
+    # the examples file is missing, so reading it first would be an i/o error
+    make_generations(workdir / "g.jsonl")
+    argv = ["eval", "--examples", "absent.jsonl", "--generations", "g.jsonl",
+            "--metric", metric, "--report", "r.json"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: --metric {metric} requires {flag}\n"
+    assert not (workdir / "r.json").exists()
+
+
 @pytest.mark.parametrize("topk", ["1", "5"])
 def test_eval_counts_orphan_generations(workdir, topk):
     make_examples(workdir / "u.jsonl", n=1)
@@ -527,6 +540,24 @@ def test_stats_rejects_duplicate_annotation(workdir, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"ann.jsonl:{len(rows) + 1}: duplicate annotation" in err
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["agree", "mcnemar"])
+@pytest.mark.parametrize("field,value,error", [
+    ("task", "typo", "task must be reasonability or novelty, got 'typo'"),
+    ("system", "Z", "system must be X or Y, got 'Z'"),
+    ("annotator", "C", "annotator must be A or B, got 'C'"),
+    ("task", "novelty", "label 'always_likely' is not a novelty label"),
+])
+def test_stats_rejects_annotation_values_outside_the_format(workdir, capsys, command,
+                                                            field, value, error):
+    rows = annotation_rows()
+    line = next(i for i, row in enumerate(rows, 1) if row["label"] == "always_likely")
+    rows[line - 1] = dict(rows[line - 1], **{field: value})
+    write_jsonl(workdir / "ann.jsonl", rows)
+    assert run(["stats", command, "--in", "ann.jsonl", "--report", "r.json"]) == 1
+    assert capsys.readouterr().err == f"error: ann.jsonl:{line}: {error}\n"
     assert not (workdir / "r.json").exists()
 
 

@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 from polyeval.cli import LOOP_LIMITS, build_parser, run
-from polyeval.dataio import write_jsonl
+from polyeval.core import validate_example, validate_generation_set
+from polyeval.dataio import read_jsonl, write_jsonl
+from polyeval.textmetrics import bleu, score_matrix
 
 GOLDEN = str(Path(__file__).resolve().parent / "fixtures" / "golden")
 UNIFIED = f"{GOLDEN}/unified.jsonl"
@@ -32,6 +34,8 @@ FORMS = {
     "eval_topk": ["eval", "--examples", UNIFIED, "--generations", G_DBS,
                   "--topk", "5", "--matching", "max", "--no-coverage-cap",
                   "--clusters", f"{GOLDEN}/clusters.jsonl"],
+    "eval_external": ["eval", "--examples", UNIFIED, "--generations", G_DBS,
+                      "--metric", "external", "--external-scores", "ext.jsonl"],
     "diversity": ["diversity", "--generations", G_DBS,
                   "--embeddings", f"{GOLDEN}/embeddings.jsonl",
                   "--out-clusters", "out.jsonl"],
@@ -83,6 +87,14 @@ def workdir(tmp_path, monkeypatch):
         {"name": "m1", "values": [0.8, 0.7, 0.9, 0.65, 0.85]},
         {"name": "m2", "values": [0.75, 0.72, 0.8, 0.6, 0.8]},
         {"name": "m3", "values": [0.5, 0.45, 0.6, 0.4, 0.55]},
+    ])
+    # top-1 of a monomorphic set scores its first output only
+    first = {gs.example_id: gs.runs[0][:1] for gs, _ in
+             (validate_generation_set(record) for _, record in read_jsonl(G_DBS))}
+    write_jsonl(tmp_path / "ext.jsonl", [
+        {"example_id": ex.example_id,
+         "scores": score_matrix(first[ex.example_id], ex.references, bleu).tolist()}
+        for ex in (validate_example(record) for _, record in read_jsonl(UNIFIED))
     ])
     return tmp_path
 

@@ -10,7 +10,6 @@ from polyeval.core import (
     example_to_record,
     make_generation_set,
     normalize_text,
-    question_for,
     validate_example,
 )
 from polyeval.errors import (
@@ -85,15 +84,15 @@ def test_normalize_text_trims_collapses_nfc():
 
 
 def test_question_for_matches_published_prompts():
-    assert question_for(InferenceType.DESIRE) == (
+    assert (InferenceType.DESIRE.question, InferenceType.DESIRE.answer_prefix) == (
         "What does Speaker want to do next?",
         "As a result, Speaker wants...",
     )
-    assert question_for(InferenceType.ATTRIBUTE) == (
+    assert (InferenceType.ATTRIBUTE.question, InferenceType.ATTRIBUTE.answer_prefix) == (
         "What is a likely characteristic of Speaker based on what they just said?",
         "Speaker is...",
     )
-    assert question_for(InferenceType.EFFECT) == (
+    assert (InferenceType.EFFECT.question, InferenceType.EFFECT.answer_prefix) == (
         "What does the last thing said cause to happen?",
         "This causes...",
     )
@@ -102,12 +101,12 @@ def test_question_for_matches_published_prompts():
 def test_question_for_total_and_invertible():
     seen = {}
     for itype in InferenceType:
-        question, prefix = question_for(itype)
+        question, prefix = itype.question, itype.answer_prefix
         assert question and prefix
         seen[(question, prefix)] = itype
     assert len(seen) == 15  # distinct prompt pairs identify their type
     for (question, prefix), itype in seen.items():
-        assert question_for(itype) == (question, prefix)
+        assert (itype.question, itype.answer_prefix) == (question, prefix)
 
 
 def test_core_flag_marks_ten_types():

@@ -10,7 +10,6 @@ from polyeval.dataio import (
     RawRecord,
     TYPE_SYNTHESIS,
     accumulate_runs,
-    example_to_raw_record,
     load_embeddings,
     map_type,
     normalize,
@@ -110,7 +109,9 @@ def test_normalize_is_idempotent_on_unified_records():
         ),
         seed=3,
     )
-    again = normalize(example_to_raw_record(ex), seed=3)
+    unified = raw([(t.speaker_tag, t.text) for t in ex.dialogue], ex.references,
+                  label=ex.inference_type.value, example_id=ex.example_id)
+    again = normalize(unified, seed=3)
     assert again == ex
 
 
@@ -248,10 +249,10 @@ def test_embedding_store_roundtrip(tmp_path):
     )
     store = load_embeddings(path)
     assert store.dim == 2
-    assert np.allclose(store.lookup("hello"), [1.0, 0.0])
-    assert np.allclose(store.lookup("  world \n"), [0.0, 1.0])
+    assert np.allclose(store.lookup_with_norm("hello")[0], [1.0, 0.0])
+    assert np.allclose(store.lookup_with_norm("  world \n")[0], [0.0, 1.0])
     with pytest.raises(MissingEmbedding, match="absent"):
-        store.lookup("absent", example_id="e9")
+        store.lookup_with_norm("absent", example_id="e9")
 
 
 def test_embedding_store_hashes_each_found_text_once(monkeypatch):
@@ -270,19 +271,20 @@ def test_embedding_store_hashes_each_found_text_once(monkeypatch):
         {text_key(t): np.asarray(v, dtype=float)
          for t, v in zip(texts, ([1, 0], [0, 1], [1, 1], [0, 0]))})
     monkeypatch.setattr(dataio, "text_key", counting_text_key)
-    metric = make_metric("embed_cosine", store)
+    metric = make_metric("embed", store)
     for _ in range(3):
         score_matrix(["a", "b", "a"], ["c", "b"], metric)
         cluster_greedy(["a", "b", "c", "d", "a"], store)
-        assert store.lookup("c") is store.lookup_with_norm("c")[0]
+        assert store.lookup_with_norm("c")[0] is store.lookup_with_norm("c")[0]
         assert store.lookup_with_norm("c")[1] == np.linalg.norm([1.0, 1.0])
     assert sorted(keyed) == texts
     # a missing text is hashed and fails on every lookup
     for attempt in range(1, 4):
         with pytest.raises(MissingEmbedding, match="'absent'.*example 'e9'"):
-            store.lookup("absent", example_id="e9")
+            store.lookup_with_norm("absent", example_id="e9")
         assert keyed.count("absent") == attempt
-    assert "absent" not in store
+    with pytest.raises(MissingEmbedding):
+        store.lookup_with_norm("absent")
 
 
 def test_embedding_dimension_mismatch(tmp_path):

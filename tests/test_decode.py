@@ -15,9 +15,9 @@ from polyeval.decode import (
     beam_search,
     diverse_beam_search,
     format_polymorphic,
+    pack_runs,
     parse_polymorphic,
     sample_many,
-    sample_runs,
     sample_sequences,
 )
 from polyeval.errors import (
@@ -308,21 +308,19 @@ def test_sample_runs_polymorphic_parsing():
             }
         },
     )
-    gen_set, warnings = sample_runs(
-        lm, example_id="e1", runs=3, seed=7, max_len=5
-    )
+    gen_set, warnings = pack_runs("e1", sample_sequences(lm, n=3, seed=7, max_len=5))
     assert gen_set.mode is GenerationMode.POLYMORPHIC
     assert gen_set.example_id == "e1"
     assert len(gen_set.runs) == 3
     for run in gen_set.runs:
         assert run  # parsed items, never empty
-    again, _ = sample_runs(lm, example_id="e1", runs=3, seed=7, max_len=5)
+    again, _ = pack_runs("e1", sample_sequences(lm, n=3, seed=7, max_len=5))
     assert again == gen_set
 
 
 def test_sample_runs_fallback_on_unparseable():
     lm = lm_of(2, {(): {"plain": 1.0}, ("plain",): {"plain": 0.5, END: 0.5}})
-    gen_set, warnings = sample_runs(lm, example_id="e", runs=2, seed=3, max_len=4)
+    gen_set, warnings = pack_runs("e", sample_sequences(lm, n=2, seed=3, max_len=4))
     assert any(w == "unparseable_fallback" for w in warnings)
     assert all(run for run in gen_set.runs)
 
@@ -330,7 +328,7 @@ def test_sample_runs_fallback_on_unparseable():
 def test_sample_runs_drops_empty_sequences():
     # a run that generates only the end token carries no inference
     lm = lm_of(1, {(): {"word": 0.5, END: 0.5}})
-    gen_set, warnings = sample_runs(lm, example_id="e", runs=8, seed=0, max_len=3)
+    gen_set, warnings = pack_runs("e", sample_sequences(lm, n=8, seed=0, max_len=3))
     assert all(run for run in gen_set.runs)
     dropped = sum(1 for w in warnings if w == "empty_run_dropped")
     assert len(gen_set.runs) + dropped == 8

@@ -81,7 +81,7 @@ def per_pair_cluster_greedy(outputs, store, tau):
     """cluster_greedy as written before it used one vecdot: the oracle."""
     vectors = []
     for text in outputs:
-        v = store.lookup(text)
+        v = store.lookup_with_norm(text)[0]
         norm = float(np.linalg.norm(v))
         vectors.append(v / norm if norm > 0 else v)
     clusters = []

@@ -97,6 +97,19 @@ def test_top1_order_uses_first_parsed_inference():
     assert top1_select(outputs, refs, exact_match, "maximum") == 1.0
 
 
+@pytest.mark.parametrize("selection", ["maximum", "order"])
+def test_top1_from_external_sidecar_equals_the_metric(selection):
+    # the sidecar holds every output's row; order reads row 0 of it
+    outs = ["they feel tired", "they want rest", "they feel proud now"]
+    refs = ["they want rest", "they feel proud today"]
+    full = score_matrix(outs, refs, bleu)
+    assert full[0].max() < full.max()  # the two rules disagree here
+    sidecar = ExternalScoreSidecar({"e1": full})
+    got = top1_select(outs, refs, None, selection, external=sidecar, example_id="e1")
+    assert got == top1_select(outs, refs, bleu, selection)
+    assert got == (full[0].max() if selection == "order" else full.max())
+
+
 # --- N-best matching --------------------------------------------------------------
 
 

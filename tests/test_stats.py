@@ -13,7 +13,6 @@ from polyeval.errors import (
     ZeroVariance,
 )
 from polyeval.stats import (
-    AnnotationTable,
     binarize,
     chi_square_proportions,
     cohen_kappa,
@@ -40,32 +39,28 @@ def pairs_from_counts(a, b, c, d):
 
 
 def test_binarize_reasonability_mapping():
-    table = AnnotationTable(
-        (
-            ("i1", "always_likely", "sometimes_possible"),
-            ("i2", "never_farfetched", "invalid_nonsense"),
-        )
-    )
+    table = [
+        ("i1", "always_likely", "sometimes_possible"),
+        ("i2", "never_farfetched", "invalid_nonsense"),
+    ]
     assert binarize(table) == [("i1", True, True), ("i2", False, False)]
 
 
 def test_binarize_novelty_mapping():
-    table = AnnotationTable(
-        (
-            ("i1", "new_detailed", "new_simple"),
-            ("i2", "purely_repetitive", "new_simple"),
-        )
-    )
+    table = [
+        ("i1", "new_detailed", "new_simple"),
+        ("i2", "purely_repetitive", "new_simple"),
+    ]
     assert binarize(table) == [("i1", True, True), ("i2", False, True)]
 
 
 def test_binarize_rejects_mixed_and_unknown():
     with pytest.raises(MixedLabelSets):
-        binarize(AnnotationTable((("i", "always_likely", "new_simple"),)))
+        binarize([("i", "always_likely", "new_simple")])
     with pytest.raises(UnknownLabel):
-        binarize(AnnotationTable((("i", "always_likely", "meh"),)))
+        binarize([("i", "always_likely", "meh")])
     with pytest.raises(EmptyTable):
-        binarize(AnnotationTable(()))
+        binarize([])
 
 
 # --- agreement ------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_score_matrix_matches_direct_calls_elementwise():
         r2=[1.0, 1.0, 1.0],
         r3=[0.2, 0.1, 0.9],
     )
-    metric = make_metric("embed_cosine", store)
+    metric = make_metric("embed", store)
     outs, refs = ["o1", "o2"], ["r1", "r2", "r3"]
     matrix = score_matrix(outs, refs, metric)
     for i, o in enumerate(outs):
@@ -149,7 +149,7 @@ def test_score_matrix_matches_direct_calls_elementwise():
 
 def test_score_matrix_annotates_failures():
     store = store_of(a=[1.0, 0.0])
-    metric = make_metric("embed_cosine", store)
+    metric = make_metric("embed", store)
     with pytest.raises(MissingEmbedding, match=r"output 1, reference 0"):
         score_matrix(["a", "missing"], ["a"], metric)
 
@@ -164,7 +164,7 @@ def test_score_matrix_rejects_empty_lists():
 def test_make_metric_ids():
     assert make_metric("bleu") is bleu
     with pytest.raises(ValidationError):
-        make_metric("embed_cosine")  # needs a store
+        make_metric("embed")  # needs a store
     with pytest.raises(ValidationError):
         make_metric("mystery")
 
@@ -205,8 +205,8 @@ def pairwise_bleu(candidate, reference):
 
 
 def pairwise_embed_cosine(candidate, reference, store):
-    u = store.lookup(candidate)
-    v = store.lookup(reference)
+    u = store.lookup_with_norm(candidate)[0]
+    v = store.lookup_with_norm(reference)[0]
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -329,7 +329,7 @@ def test_embed_matrix_matches_pairwise_including_failures(vectors, outputs, refe
     # must fail at the same cell with the same message
     store = store_of(**vectors)
     got = outcome(lambda: score_matrix(
-        outputs, references, make_metric("embed_cosine", store)))
+        outputs, references, make_metric("embed", store)))
     want = outcome(lambda: pairwise_matrix(
         outputs, references, lambda c, r: pairwise_embed_cosine(c, r, store)))
     assert_same_outcome(got, want)
@@ -349,7 +349,7 @@ def test_bleu_matrix_names_failing_cell(outputs, references, error, cell):
 def test_embed_matrix_zero_norm_output_next_to_missing_reference():
     store = store_of(a=[1.0, 0.0], z=[0.0, 0.0])
     outputs, references = ["a", "z"], ["a", "missing"]
-    metric = make_metric("embed_cosine", store)
+    metric = make_metric("embed", store)
     # cell (0, 1) reaches the missing reference before row 1 reaches "z"
     with pytest.raises(MissingEmbedding, match=r"'missing'.*output 0, reference 1"):
         score_matrix(outputs, references, metric)
@@ -453,5 +453,5 @@ def test_vecdot_equals_per_pair_dot(d, n, m, scale, offset, seed):
     store = EmbeddingStore({text_key(f"t{i}"): row.copy() for i, row in enumerate(stacked)})
     outs, refs = [f"t{i}" for i in range(n)], [f"t{n + j}" for j in range(m)]
     assert_same_outcome(
-        score_matrix(outs, refs, make_metric("embed_cosine", store)),
+        score_matrix(outs, refs, make_metric("embed", store)),
         pairwise_matrix(outs, refs, lambda c, r: pairwise_embed_cosine(c, r, store)))
