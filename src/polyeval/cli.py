@@ -6,13 +6,14 @@ Every report echoes the effective configuration (defaults made explicit) and
 is byte-identical across reruns with the same inputs and seeds.  A command
 returns only its body, warnings and outputs; ``run`` assembles the report,
 and its ``config`` is every parsed flag but ``--report``, so the parser is
-the one place a flag is stated.
+the one place a flag is stated.  ``RANGES`` is the one place a numeric
+flag's accepted range is stated: ``run`` checks it before the command reads
+any file, and it is the flag's ``--help`` text.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from collections import Counter
 
@@ -60,7 +61,6 @@ from .stats import (
     chi_square_proportions,
     cohen_kappa,
     gwet_ac1,
-    check_alpha,
     paired_t_bonferroni,
     resolve_and_repeat,
 )
@@ -198,13 +198,11 @@ def _cmd_eval(args) -> tuple:
 
 
 def _cmd_diversity(args) -> tuple:
-    if args.topk < 0:
-        raise ValidationError(f"--topk must be >= 0, got {args.topk}")
-    if not 0.0 < args.tau < 1.0:
-        raise ValidationError(f"--tau must be in (0, 1), got {args.tau}")
+    if args.embeddings is None and args.gold_clusters is None:
+        raise ValidationError("diversity needs --embeddings or --gold-clusters")
     generations, dropped = _load_generations(args.generations)
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    gold = load_clusters(args.gold_clusters) if args.gold_clusters else None
+    embeddings = load_embeddings(args.embeddings) if args.embeddings is not None else None
+    gold = load_clusters(args.gold_clusters) if args.gold_clusters is not None else None
 
     outputs_by_example = {}
     for example_id in sorted(generations):
@@ -224,10 +222,8 @@ def _cmd_diversity(args) -> tuple:
             eid: cluster_greedy(outs, embeddings, tau=args.tau, example_id=eid)
             for eid, outs in outputs_by_example.items()
         }
-    elif gold is not None:
-        clusterings = {eid: gold[eid] for eid in outputs_by_example}
     else:
-        raise ValidationError("diversity needs --embeddings or --gold-clusters")
+        clusterings = {eid: gold[eid] for eid in outputs_by_example}
 
     summary = diversity_report(outputs_by_example, clusterings)
     body = {
@@ -241,21 +237,16 @@ def _cmd_diversity(args) -> tuple:
         ],
     }
     if gold is not None and embeddings is not None:
-        rows = []
-        for eid in sorted(outputs_by_example):
-            p, r, f1 = bcubed(clusterings[eid], gold[eid])
-            rows.append((p, r, f1))
-        body["bcubed"] = {
-            "precision": sum(p for p, _, _ in rows) / len(rows),
-            "recall": sum(r for _, r, _ in rows) / len(rows),
-            "f1": sum(f for _, _, f in rows) / len(rows),
-        }
+        rows = [bcubed(clusterings[eid], gold[eid]) for eid in sorted(outputs_by_example)]
+        body["bcubed"] = {name: sum(row[i] for row in rows) / len(rows)
+                          for i, name in enumerate(("precision", "recall", "f1"))}
     warnings = []
     if dropped:
         warnings.append(f"dropped_duplicate_outputs:{dropped}")
     clusters = [{"example_id": eid, "clusters": [list(g) for g in clusterings[eid]]}
                 for eid in sorted(clusterings)]
-    return body, warnings, {args.out_clusters: clusters} if args.out_clusters else {}
+    return body, warnings, ({args.out_clusters: clusters}
+                            if args.out_clusters is not None else {})
 
 
 # --- datastats ----------------------------------------------------------------
@@ -341,19 +332,11 @@ def _cmd_stats_mcnemar(args) -> tuple:
         shared = sorted(set(x_items) & set(y_items))
         if not shared:
             raise ValidationError(f"task {task!r} has no items shared by X and Y")
-        x_table = binarize(
-            _paired_items({item_id: x_items[item_id] for item_id in shared})
-        )
-        y_table = binarize(
-            _paired_items({item_id: y_items[item_id] for item_id in shared})
-        )
+        x_side, y_side = (
+            [(a, b) for _, a, b in binarize(_paired_items({i: items[i] for i in shared}))]
+            for items in (x_items, y_items))
         result = resolve_and_repeat(
-            [(a, b) for _, a, b in x_table],
-            [(a, b) for _, a, b in y_table],
-            repeats=args.repeats,
-            seed=args.seed,
-            alpha=args.alpha,
-        )
+            x_side, y_side, repeats=args.repeats, seed=args.seed, alpha=args.alpha)
         body[task] = {
             "mean_rate_x": result.mean_rate_x,
             "mean_rate_y": result.mean_rate_y,
@@ -376,7 +359,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_stats_prop(args) -> tuple:
-    check_alpha(args.alpha)
     args.successes = _parse_int_list(args.successes, "--successes")
     args.trials = _parse_int_list(args.trials, "--trials")
     statistic, p_value = chi_square_proportions(args.successes, args.trials)
@@ -390,8 +372,6 @@ def _cmd_stats_prop(args) -> tuple:
 
 
 def _cmd_stats_ttest(args) -> tuple:
-    check_alpha(args.alpha)
-
     def parse(record: dict) -> tuple:
         return get_field(record, "name", str), float_array(record.get("values"), 1, "values")
 
@@ -418,25 +398,11 @@ def _cmd_stats_ttest(args) -> tuple:
 
 
 def _cmd_decode(args) -> tuple:
-    # checked for every strategy, also where the strategy ignores the flag
-    if args.seed < 0:
-        raise ValidationError("seed must be >= 0")
-    if args.runs < 1:
-        raise ValidationError("need at least one run")
-    for flag, value in (("--beams", args.beams), ("--groups", args.groups)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be >= 1, got {value}")
-    for flag, value in (("--penalty", args.penalty), ("--temperature", args.temperature)):
-        if not 0 <= value < math.inf:
-            raise ValidationError(f"{flag} must be >= 0 and finite, got {value}")
     poly = args.strategy == "poly"
     dbs = args.strategy == "dbs"
     if args.rep_penalty is None:
         args.rep_penalty = 5.0 if poly else 1.0
-    lm = load_ngram_lm(args.lm)
-    examples = _load_examples(args.examples)
-
-    sequences = None
+    config = None
     if not poly or args.poly_from_beams:
         config = BeamConfig(
             beams=max(args.beams, args.runs) if poly else args.beams,
@@ -445,6 +411,10 @@ def _cmd_decode(args) -> tuple:
             repetition_penalty=args.rep_penalty,
             max_len=args.max_len,
         )
+    lm = load_ngram_lm(args.lm)
+    examples = _load_examples(args.examples)
+
+    if config is not None:
         # the scorer sees only the prefix, never the example, so one search
         # serves every example
         sequences = (
@@ -452,7 +422,7 @@ def _cmd_decode(args) -> tuple:
             else beam_search(lm, config, k=args.runs if poly else None)
         )
 
-    if poly and sequences is None:
+    if config is None:
         samples = sample_many(
             lm,
             [_stable_salt(example.example_id) for example in examples],
@@ -500,14 +470,41 @@ def _cmd_decode(args) -> tuple:
 
 # --- parser -----------------------------------------------------------------
 
-# Upper bounds of the flags that count loop iterations, far above the
-# paper's settings (100 repeats, 3 runs, 10 beams, 32 tokens), so that no
-# value makes a command loop without end; ``run`` checks them.
-LOOP_LIMITS = {"--repeats": 100_000, "--runs": 1_000, "--beams": 1_000, "--max-len": 1_000}
+# The accepted interval of every int and float flag, by subcommand: ``run``
+# checks it before the command reads any file, also where the command
+# ignores the flag, and it ends the flag's help.  The loop counts are bounded
+# far above the paper's settings (100 repeats, 3 runs, 10 beams, 32 tokens),
+# so that no value makes a command loop without end.  A flag left at None
+# (--rep-penalty, --m) is not checked.
+RANGES = {
+    "normalize": {"--seed": "(-inf, inf)"},
+    "eval": {"--topk": "[1, inf)", "--seed": f"[0, {2**64 - 1}]"},
+    "diversity": {"--tau": "(0, 1)", "--topk": "[0, inf)"},
+    "stats mcnemar": {"--repeats": "[1, 100000]", "--seed": "[0, inf)", "--alpha": "(0, 1)"},
+    "stats prop": {"--alpha": "(0, 1)"},
+    "stats ttest": {"--m": "[1, inf)", "--alpha": "(0, 1)"},
+    "decode": {"--beams": "[1, 1000]", "--groups": "[1, inf)", "--penalty": "[0, inf)",
+               "--rep-penalty": "[1, inf)", "--runs": "[1, 1000]",
+               "--temperature": "[0, inf)", "--max-len": "[1, 1000]", "--seed": "[0, inf)"},
+}
 
 
-def _at_most(flag: str) -> str:
-    return f"at most {LOOP_LIMITS[flag]:,}"
+def _inside(interval: str, value) -> bool:
+    """Whether ``value`` lies in ``interval``, such as "[1, 1000]" or "(0, 1)".
+    NaN lies in none, and an integer end is compared as an integer."""
+    low, high = (int(end) if end.lstrip("-").isdigit() else float(end)
+                 for end in interval[1:-1].split(", "))
+    return (low < value if interval[0] == "(" else low <= value) and (
+        value < high if interval[-1] == ")" else value <= high)
+
+
+def _number(parser: argparse.ArgumentParser, flag: str, kind: type, default,
+            help: str | None = None) -> None:
+    """Add a numeric flag; its ``RANGES`` interval, keyed by the subcommand
+    words of ``parser.prog``, ends its help."""
+    interval = RANGES[parser.prog.partition(" ")[2]][flag]
+    parser.add_argument(flag, type=kind, default=default,
+                        help=f"{help}; in {interval}" if help else f"in {interval}")
 
 
 def _maximum(name: str) -> str:
@@ -537,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="raw records (JSONL)")
     p.add_argument("--source", required=True, choices=RAW_SOURCES)
     p.add_argument("--out", required=True, help="unified examples (JSONL)")
-    p.add_argument("--seed", type=int, default=0, help="seed for A/B tag assignment")
+    _number(p, "--seed", int, 0, "seed for A/B tag assignment")
     p.add_argument("--report", default=None, help="report path (default: stdout)")
     p.set_defaults(func=_cmd_normalize)
 
@@ -554,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True)
     p.add_argument("--generations", required=True)
     p.add_argument("--metric", default="bleu", choices=("bleu", "embed", "external"))
-    p.add_argument("--topk", type=int, default=1)
+    _number(p, "--topk", int, 1)
     p.add_argument("--selection", default="maximum", type=_maximum,
                    choices=("maximum", "order"), help="max is short for maximum")
     p.add_argument("--matching", default="bipartite", type=_maximum,
@@ -563,15 +560,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-coverage-cap", dest="coverage_cap", action="store_false")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--external-scores", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _number(p, "--seed", int, 0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("diversity", help="cluster outputs and measure diversity")
     p.add_argument("--generations", required=True)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--tau", type=float, default=0.8)
-    p.add_argument("--topk", type=int, default=0, help="truncate outputs (0 = all)")
+    _number(p, "--tau", float, 0.8)
+    _number(p, "--topk", int, 0, "truncate outputs (0 = all)")
     p.add_argument("--gold-clusters", default=None)
     p.add_argument("--out-clusters", default=None, help="write predicted clusters")
     p.add_argument("--report", default=None)
@@ -601,16 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
         "mcnemar", help="matched-pairs test with random disagreement resolution"
     )
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--repeats", type=int, default=100, help=_at_most("--repeats"))
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--alpha", type=float, default=0.05)
+    _number(q, "--repeats", int, 100)
+    _number(q, "--seed", int, 0)
+    _number(q, "--alpha", float, 0.05)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_mcnemar)
 
     q = stats_sub.add_parser("prop", help="pooled chi-square proportions test")
     q.add_argument("--successes", required=True, help="comma list, e.g. 93,75")
     q.add_argument("--trials", required=True, help="comma list, e.g. 100,100")
-    q.add_argument("--alpha", type=float, default=0.05)
+    _number(q, "--alpha", float, 0.05)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_prop)
 
@@ -620,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--scores", required=True, help="JSONL rows {name, values: [...]}"
     )
-    q.add_argument("--m", type=int, default=None, help="comparisons (default: #pairs)")
-    q.add_argument("--alpha", type=float, default=0.05)
+    _number(q, "--m", int, None, "comparisons (default: #pairs)")
+    _number(q, "--alpha", float, 0.05)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_ttest)
 
@@ -636,17 +633,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--examples", required=True)
     p.add_argument("--strategy", required=True, choices=("beam", "dbs", "poly"))
-    p.add_argument("--beams", type=int, default=10, help=_at_most("--beams"))
-    p.add_argument("--groups", type=int, default=10)
-    p.add_argument("--penalty", type=float, default=0.5)
-    p.add_argument(
-        "--rep-penalty", type=float, default=None,
-        help="repetition penalty (default 1.0; 5.0 for poly)",
-    )
-    p.add_argument("--runs", type=int, default=3, help=_at_most("--runs"))
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=32, help=_at_most("--max-len"))
-    p.add_argument("--seed", type=int, default=0)
+    _number(p, "--beams", int, 10)
+    _number(p, "--groups", int, 10)
+    _number(p, "--penalty", float, 0.5)
+    _number(p, "--rep-penalty", float, None,
+            "repetition penalty (default 1.0; 5.0 for poly)")
+    _number(p, "--runs", int, 3)
+    _number(p, "--temperature", float, 1.0)
+    _number(p, "--max-len", int, 32)
+    _number(p, "--seed", int, 0)
     p.add_argument(
         "--poly-from-beams", action="store_true",
         help="derive polymorphic runs from top beams instead of sampling",
@@ -669,14 +664,15 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, limit in LOOP_LIMITS.items():
-            value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and value > limit:
-                raise ValidationError(f"{flag} must be <= {limit}, got {value}")
+        command = (f"stats {args.stats_command}" if args.command == "stats"
+                   else args.command)
+        for flag, interval in RANGES.get(command, {}).items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and not _inside(interval, value):
+                raise ValidationError(f"{flag} must be in {interval}, got {value}")
         body, warnings, outputs = args.func(args)
         report = {
-            "tool": (f"stats.{args.stats_command}" if args.command == "stats"
-                     else args.command),
+            "tool": command.replace(" ", "."),
             "version": __version__,
             "config": {("in" if name == "infile" else name): value
                        for name, value in vars(args).items() if name not in _NOT_FLAGS},

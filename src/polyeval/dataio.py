@@ -24,6 +24,7 @@ writes all of a command's files or none of them.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -423,8 +424,13 @@ def write_files(texts: dict[str | Path, str]) -> None:
     are removed and the targets keep their old content.  A target that
     exists but is not a regular file (a device or a pipe, such as
     /dev/stdout) cannot be replaced, so it is written in place, after the
-    regular files.
+    regular files.  An empty path or a directory fails before anything is
+    staged.
     """
+    for path in texts:
+        if not str(path) or os.path.isdir(path):
+            code = errno.EISDIR if str(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
     staged: list[tuple[str, str]] = []
     in_place = []
     try:

@@ -157,12 +157,6 @@ class RepeatReport:
     p_values: tuple[float, ...]
 
 
-def check_alpha(alpha: float) -> None:
-    """Reject a significance level outside the open interval (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def resolve_and_repeat(
     side_x: Sequence[tuple[bool, bool]],
     side_y: Sequence[tuple[bool, bool]],
@@ -187,7 +181,8 @@ def resolve_and_repeat(
         raise ValidationError("repeats must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    check_alpha(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     rates_x = []
     rates_y = []
     discordances = []

@@ -297,6 +297,29 @@ def test_eval_counts_orphan_generations(workdir, topk):
 
 
 @pytest.mark.parametrize("topk", ["1", "5"])
+def test_eval_counts_dropped_duplicate_outputs(workdir, topk):
+    make_examples(workdir / "u.jsonl", n=2)
+    make_generations(workdir / "g.jsonl", n=2,
+                     runs=(("they feel proud", "they  feel proud", "nothing matches"),))
+    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                "--topk", topk, "--report", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["warnings"] == ["dropped_duplicate_outputs:2"]
+
+
+def test_eval_external_scores_missing_an_example_fails_cleanly(workdir, capsys):
+    make_examples(workdir / "u.jsonl", n=2)
+    make_generations(workdir / "g.jsonl", n=2, runs=(("a", "b"),))
+    write_jsonl(workdir / "x.jsonl",
+                [{"example_id": "e0", "scores": [[0.9, 0.1], [0.2, 0.8]]}])
+    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                "--metric", "external", "--external-scores", "x.jsonl",
+                "--topk", "5", "--report", "r.json"]) == 1
+    assert capsys.readouterr().err == "error: no external scores for example 'e1'\n"
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("topk", ["1", "5"])
 def test_eval_with_no_examples_fails_cleanly(workdir, capsys, topk):
     (workdir / "u.jsonl").write_text("")
     make_generations(workdir / "g.jsonl")
@@ -344,6 +367,24 @@ def test_normalize_writes_unified_and_counts_exclusions(workdir):
     rows = [rec for _, rec in read_jsonl(workdir / "u.jsonl")]
     assert rows[0]["dialogue"][0]["text"] == "one two"
     assert rows[0]["question"] == "What does Speaker want to do next?"
+
+
+@pytest.mark.parametrize("out", ["adir", ""], ids=["directory", "empty"])
+def test_normalize_to_a_directory_or_empty_path_writes_nothing(workdir, capsys, out):
+    write_jsonl(workdir / "raw.jsonl", [
+        {"example_id": "a", "source": "generic",
+         "utterances": [{"speaker": "A", "text": "hi"}],
+         "type_label": "Desire", "inferences": ["they want rest"]},
+    ])
+    (workdir / "adir").mkdir()
+    code = run(["normalize", "--in", "raw.jsonl", "--source", "generic",
+                "--out", out, "--report", "r.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.endswith(f": {out!r}\n")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["adir", "raw.jsonl"]
+    assert list((workdir / "adir").iterdir()) == []
 
 
 def test_normalize_unknown_label_fails(workdir, capsys):
@@ -405,6 +446,30 @@ def test_diversity_with_gold_clusters(workdir):
     assert report["bcubed"]["f1"] == pytest.approx(1.0, abs=1e-12)
     pred = [rec for _, rec in read_jsonl(workdir / "pred.jsonl")]
     assert pred[0]["clusters"] == [[0, 1], [2]]
+
+
+def test_diversity_counts_dropped_duplicate_outputs(workdir):
+    make_generations(workdir / "g.jsonl", n=1,
+                     runs=(("they feel proud", "they feel  proud", "they want rest"),))
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    assert run(["diversity", "--generations", "g.jsonl", "--gold-clusters", "gold.jsonl",
+                "--report", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["warnings"] == ["dropped_duplicate_outputs:1"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--embeddings", "", "--gold-clusters", "gold.jsonl"],
+    ["--gold-clusters", "gold.jsonl", "--out-clusters", ""],
+], ids=["embeddings", "out_clusters"])
+def test_diversity_treats_an_empty_path_as_a_path(workdir, capsys, flags):
+    make_generations(workdir / "g.jsonl", n=1)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    assert run(["diversity", "--generations", "g.jsonl", *flags, "--report", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.endswith(": ''\n")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == ["g.jsonl", "gold.jsonl"]
 
 
 def test_diversity_needs_some_clustering_source(workdir, capsys):
@@ -561,6 +626,21 @@ def test_stats_rejects_annotation_values_outside_the_format(workdir, capsys, com
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize("command, keep, error", [
+    ("agree", lambda row: (row["item_id"], row["system"], row["annotator"]) != ("i3", "X", "B"),
+     "item 'X:i3' needs exactly annotators A and B, has ['A']"),
+    ("mcnemar", lambda row: row["system"] == "X",
+     "task 'reasonability' needs annotations for both systems X and Y"),
+    ("mcnemar", lambda row: (row["system"] == "X") == (row["item_id"] < "i2"),
+     "task 'reasonability' has no items shared by X and Y"),
+], ids=["agree_without_annotator_b", "mcnemar_only_x", "mcnemar_nothing_shared"])
+def test_stats_rejects_annotations_it_cannot_pair(workdir, capsys, command, keep, error):
+    write_jsonl(workdir / "ann.jsonl", [row for row in annotation_rows() if keep(row)])
+    assert run(["stats", command, "--in", "ann.jsonl", "--report", "s.json"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (workdir / "s.json").exists()
+
+
 def test_stats_mcnemar_deterministic(workdir):
     write_jsonl(workdir / "ann.jsonl", annotation_rows())
     argv = ["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "25",
@@ -580,7 +660,7 @@ def test_stats_mcnemar_rejects_negative_seed(workdir, capsys):
     argv = ["stats", "mcnemar", "--in", "ann.jsonl", "--seed", "-1", "--report", "m.json"]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: seed must be >= 0\n"
+    assert err == "error: --seed must be in [0, inf), got -1\n"
     assert not (workdir / "m.json").exists()
 
 
@@ -591,6 +671,14 @@ def test_stats_prop(workdir):
     assert report["statistic"] == pytest.approx(675 / 56, rel=1e-7)
     assert report["significant"] is True
     assert report["df"] == 1
+
+
+def test_stats_prop_rejects_a_count_that_is_not_an_integer(workdir, capsys):
+    assert run(["stats", "prop", "--successes", "9,x", "--trials", "10,10",
+                "--report", "p.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --successes must be a comma-separated integer list\n")
+    assert not (workdir / "p.json").exists()
 
 
 def test_stats_ttest(workdir):
@@ -648,7 +736,7 @@ def test_stats_rejects_alpha_outside_unit_interval(workdir, capsys, command, alp
     argv = SIGNIFICANCE_ARGV[command] + [f"--alpha={alpha}", "--report", "r.json"]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: alpha must be in (0, 1), got ") and err.count("\n") == 1
+    assert err.startswith("error: --alpha must be in (0, 1), got ") and err.count("\n") == 1
     assert not (workdir / "r.json").exists()
 
 
@@ -657,7 +745,7 @@ def test_stats_ttest_rejects_m_below_1(workdir, capsys, m):
     write_significance_inputs(workdir)
     argv = SIGNIFICANCE_ARGV["ttest"] + ["--m", m, "--report", "r.json"]
     assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: m must be >= 1, got {m}\n"
+    assert capsys.readouterr().err == f"error: --m must be in [1, inf), got {m}\n"
     assert not (workdir / "r.json").exists()
 
 
@@ -820,13 +908,13 @@ def test_decode_rejects_zero_max_len(workdir, capsys):
     assert run(DECODE_BASE + ["--strategy", "poly", "--max-len", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "max_len" in err and "Traceback" not in err
+    assert "--max-len must be in [1, 1000], got 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--rep-penalty", "-3"], "repetition penalty must be >= 1"),
-    (["--rep-penalty", "0.5"], "repetition penalty must be >= 1"),
-    (["--poly-from-beams", "--runs", "0"], "need at least one run"),
+    (["--rep-penalty", "-3"], "--rep-penalty must be in [1, inf), got -3.0"),
+    (["--rep-penalty", "0.5"], "--rep-penalty must be in [1, inf), got 0.5"),
+    (["--poly-from-beams", "--runs", "0"], "--runs must be in [1, 1000], got 0"),
 ], ids=["rep_penalty_negative", "rep_penalty_below_1", "from_beams_runs_0"])
 def test_decode_poly_rejects_bad_args(workdir, capsys, args, message):
     (workdir / "lm.json").write_text(json.dumps(TOY_LM))
@@ -882,22 +970,22 @@ def test_decode_rejects_negative_seed_for_every_strategy(workdir, capsys, strate
     argv = DECODE_BASE + ["--strategy", strategy, "--beams", "4", "--groups", "2",
                           "--seed", "-1"]
     assert run(argv) == 1
-    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: --seed must be in [0, inf), got -1\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 
 @pytest.mark.parametrize("strategy, flag, message", [
-    ("beam", "--groups=-1", "--groups must be >= 1, got -1"),
-    ("beam", "--groups=0", "--groups must be >= 1, got 0"),
-    ("poly", "--beams=-1", "--beams must be >= 1, got -1"),
-    ("poly", "--groups=0", "--groups must be >= 1, got 0"),
-    ("beam", "--penalty=nan", "--penalty must be >= 0 and finite, got nan"),
-    ("beam", "--penalty=-1", "--penalty must be >= 0 and finite, got -1.0"),
-    ("poly", "--penalty=inf", "--penalty must be >= 0 and finite, got inf"),
-    ("beam", "--temperature=nan", "--temperature must be >= 0 and finite, got nan"),
-    ("dbs", "--temperature=-1", "--temperature must be >= 0 and finite, got -1.0"),
-    ("beam", "--runs=0", "need at least one run"),
-    ("dbs", "--runs=-1", "need at least one run"),
+    ("beam", "--groups=-1", "--groups must be in [1, inf), got -1"),
+    ("beam", "--groups=0", "--groups must be in [1, inf), got 0"),
+    ("poly", "--beams=-1", "--beams must be in [1, 1000], got -1"),
+    ("poly", "--groups=0", "--groups must be in [1, inf), got 0"),
+    ("beam", "--penalty=nan", "--penalty must be in [0, inf), got nan"),
+    ("beam", "--penalty=-1", "--penalty must be in [0, inf), got -1.0"),
+    ("poly", "--penalty=inf", "--penalty must be in [0, inf), got inf"),
+    ("beam", "--temperature=nan", "--temperature must be in [0, inf), got nan"),
+    ("dbs", "--temperature=-1", "--temperature must be in [0, inf), got -1.0"),
+    ("beam", "--runs=0", "--runs must be in [1, 1000], got 0"),
+    ("dbs", "--runs=-1", "--runs must be in [1, 1000], got -1"),
 ], ids=["beam_groups_negative", "beam_groups_0", "poly_beams_negative", "poly_groups_0",
         "beam_penalty_nan", "beam_penalty_negative", "poly_penalty_inf",
         "beam_temperature_nan", "dbs_temperature_negative", "beam_runs_0",
@@ -910,6 +998,19 @@ def test_decode_rejects_out_of_range_flags_the_strategy_ignores(
                               flag]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["decode", "--lm", "missing.json", "--examples", "missing.jsonl", "--strategy", "dbs",
+      "--beams", "4", "--groups", "3", "--out", "g.jsonl"],
+     "beams (4) must be divisible by groups (3)"),
+    (["diversity", "--generations", "missing.jsonl"],
+     "diversity needs --embeddings or --gold-clusters"),
+], ids=["decode_dbs_groups", "diversity_clustering_source"])
+def test_cross_flag_errors_come_before_any_file_is_read(workdir, capsys, argv, error):
+    assert run(argv + ["--report", "r.json"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("edit, message", [

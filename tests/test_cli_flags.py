@@ -7,6 +7,9 @@ flag added later is covered without a new test.
 - Every ``int`` or ``float`` flag, given NaN, an infinity, -1, 0, 2**64 or
   a word, either runs or fails cleanly: exit 1 or 2, no traceback, exactly
   one stderr line with ``error:``, and no output or report file.
+- Every ``int`` or ``float`` flag has a ``cli.RANGES`` entry, shown by its
+  subcommand's ``--help``, and a value outside it fails with the same line
+  when every input file is missing, so before any file is read.
 - A flag that counts loop iterations fails above its documented bound.
 """
 import argparse
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from polyeval.cli import LOOP_LIMITS, build_parser, run
+from polyeval.cli import RANGES, build_parser, run
 from polyeval.core import validate_example, validate_generation_set
 from polyeval.dataio import read_jsonl, write_jsonl
 from polyeval.textmetrics import bleu, score_matrix
@@ -59,10 +62,15 @@ FORMS = {
 BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", str(2**64), "abc"]
 
 
+def _command(argv) -> str:
+    """The words of the subcommand (or stats subcommand) that argv runs."""
+    return " ".join(argv[: 2 if argv[0] == "stats" else 1])
+
+
 def _subparser(argv):
-    """The parser of the subcommand (or stats subcommand) that argv runs."""
+    """The parser of the subcommand that argv runs."""
     parser = build_parser()
-    for word in argv[: 2 if argv[0] == "stats" else 1]:
+    for word in _command(argv).split():
         parser = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction)).choices[word]
     return parser
@@ -158,12 +166,63 @@ def test_number_flag_runs_or_fails_cleanly(workdir, form, flag, value):
         assert sorted(p.name for p in workdir.iterdir()) == before
 
 
+def _help(argv) -> str:
+    """The subcommand's --help, unwrapped."""
+    return " ".join(_subparser(argv).format_help().split())
+
+
+LOOP_BOUNDS = {"--repeats": 100_000, "--runs": 1_000, "--beams": 1_000, "--max-len": 1_000}
+
+
 @pytest.mark.parametrize("form, flag", [
     ("stats_mcnemar", "--repeats"), ("decode_poly", "--runs"),
     ("decode_beam", "--beams"), ("decode_beam", "--max-len"),
 ])
 def test_loop_count_above_its_bound_fails(workdir, form, flag):
-    limit = LOOP_LIMITS[flag]
+    limit = LOOP_BOUNDS[flag]
     assert _run(FORMS[form] + [flag, str(limit + 1)]) == (
-        1, f"error: {flag} must be <= {limit}, got {limit + 1}\n")
-    assert f"at most {limit:,}" in _subparser(FORMS[form]).format_help()
+        1, f"error: {flag} must be in [1, {limit}], got {limit + 1}\n")
+    assert f"in [1, {limit}]" in _help(FORMS[form])
+
+
+def _commands(parser=None, words=()):
+    """The words of every subcommand and stats subcommand."""
+    subs = [a for a in (parser or build_parser())._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [list(words)]
+    return [argv for name, child in subs[0].choices.items()
+            for argv in _commands(child, words + (name,))]
+
+
+def test_every_number_flag_has_a_range_shown_by_help():
+    checked = 0
+    for argv in _commands():
+        for action in _flags(argv):
+            if action.type in (int, float):
+                flag, = action.option_strings
+                assert action.help.endswith(f"in {RANGES[_command(argv)][flag]}")
+                assert f"{flag} {action.dest.upper()} {action.help}" in _help(argv)
+                checked += 1
+    assert checked == sum(len(ranges) for ranges in RANGES.values())
+
+
+INPUT_FLAGS = ("--in", "--examples", "--generations", "--lm", "--embeddings",
+               "--external-scores", "--clusters", "--gold-clusters", "--scores")
+
+
+def test_range_errors_come_before_any_file_is_read(workdir):
+    checked = set()
+    for case in NUMBER_CASES:
+        form, flag, value = case.values
+        argv = FORMS[form] + [f"{flag}={value}", "--report", "r.json"]
+        code, err = _run(argv)
+        if not err.startswith(f"error: {flag} must be "):
+            continue
+        assert code == 1 and err.count("\n") == 1
+        missing = ["missing.jsonl" if before in INPUT_FLAGS else word
+                   for before, word in zip([None] + argv, argv)]
+        assert _run(missing) == (1, err)
+        checked.add(_command(argv))
+    # normalize's one number flag, --seed, takes any integer
+    assert checked == set(RANGES) - {"normalize"}

@@ -350,3 +350,19 @@ def test_write_files_is_all_or_nothing(tmp_path):
     write_files({first: "new\n", tmp_path / "second.json": "{}\n"})
     assert first.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "second.json"]
+
+
+@pytest.mark.parametrize("target", ["adir", ""], ids=["directory", "empty"])
+def test_write_files_fails_on_a_directory_or_empty_path_before_staging(
+        tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    first = tmp_path / "first.jsonl"
+    first.write_text("old\n")
+    with pytest.raises(OSError) as raised:
+        write_files({first: "new\n", target: "{}\n", tmp_path / "last.json": "{}\n"})
+    assert raised.value.filename == target
+    assert str(raised.value).endswith(f": {target!r}")
+    assert first.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "first.jsonl"]
+    assert list((tmp_path / "adir").iterdir()) == []
