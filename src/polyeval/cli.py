@@ -23,7 +23,6 @@ from .core import (
     GenerationMode,
     example_to_record,
     get_field,
-    make_generation_set,
     validate_example,
     validate_generation_set,
 )
@@ -41,7 +40,6 @@ from .dataio import (
 )
 from .decode import (
     BeamConfig,
-    beam_search,
     diverse_beam_search,
     load_ngram_lm,
     pack_runs,
@@ -402,27 +400,27 @@ def _cmd_decode(args) -> tuple:
     dbs = args.strategy == "dbs"
     if args.rep_penalty is None:
         args.rep_penalty = 5.0 if poly else 1.0
-    config = None
-    if not poly or args.poly_from_beams:
-        config = BeamConfig(
-            beams=max(args.beams, args.runs) if poly else args.beams,
-            groups=args.groups if dbs else 1,
-            diversity_penalty=args.penalty if dbs else 0.0,
-            repetition_penalty=args.rep_penalty,
-            max_len=args.max_len,
-        )
+    # beam and poly-from-beams are the one-group case of diverse beam search
+    config = BeamConfig(
+        beams=max(args.beams, args.runs) if poly else args.beams,
+        groups=args.groups if dbs else 1,
+        diversity_penalty=args.penalty if dbs else 0.0,
+        repetition_penalty=args.rep_penalty,
+        max_len=args.max_len,
+    ) if not poly or args.poly_from_beams else None
     lm = load_ngram_lm(args.lm)
     examples = _load_examples(args.examples)
 
     if config is not None:
         # the scorer sees only the prefix, never the example, so one search
-        # serves every example
-        sequences = (
-            diverse_beam_search(lm, config) if dbs
-            else beam_search(lm, config, k=args.runs if poly else None)
-        )
-
-    if config is None:
+        # and one set serve every example; the first example's id names the
+        # set in an error
+        sequences = diverse_beam_search(lm, config)[: args.runs if poly else None]
+        mode = (GenerationMode.POLYMORPHIC if poly else GenerationMode.MONOMORPHIC_DIVERSE_BEAM
+                if dbs else GenerationMode.MONOMORPHIC_BEAM)
+        packed = ([pack_runs(examples[0].example_id, sequences, mode=mode)] * len(examples)
+                  if examples else [])
+    else:
         samples = sample_many(
             lm,
             [_stable_salt(example.example_id) for example in examples],
@@ -434,22 +432,6 @@ def _cmd_decode(args) -> tuple:
         )
         packed = (pack_runs(example.example_id, drawn)
                   for example, drawn in zip(examples, samples))
-    elif not examples:
-        packed = []
-    elif poly:
-        # one search serves every example, so one set does; the first
-        # example's id names it in an error
-        packed = [pack_runs(examples[0].example_id, sequences)] * len(examples)
-    else:
-        gen_set, dropped = make_generation_set(
-            examples[0].example_id,
-            GenerationMode.MONOMORPHIC_DIVERSE_BEAM if dbs
-            else GenerationMode.MONOMORPHIC_BEAM,
-            [[s.text for s in sequences]],
-        )
-        warnings = ["max_len_without_end" for s in sequences if not s.finished]
-        warnings += ["dropped_duplicates"] * dropped
-        packed = [(gen_set, warnings)] * len(examples)
     records = []
     warning_counts: Counter[str] = Counter()
     if not poly:
@@ -474,7 +456,8 @@ def _cmd_decode(args) -> tuple:
 # checks it before the command reads any file, also where the command
 # ignores the flag, and it ends the flag's help.  The loop counts are bounded
 # far above the paper's settings (100 repeats, 3 runs, 10 beams, 32 tokens),
-# so that no value makes a command loop without end.  A flag left at None
+# so that no value makes a command loop without end, and --m stops at 1e308,
+# so that a p-value times --m is a float.  A flag left at None
 # (--rep-penalty, --m) is not checked.
 RANGES = {
     "normalize": {"--seed": "(-inf, inf)"},
@@ -482,7 +465,7 @@ RANGES = {
     "diversity": {"--tau": "(0, 1)", "--topk": "[0, inf)"},
     "stats mcnemar": {"--repeats": "[1, 100000]", "--seed": "[0, inf)", "--alpha": "(0, 1)"},
     "stats prop": {"--alpha": "(0, 1)"},
-    "stats ttest": {"--m": "[1, inf)", "--alpha": "(0, 1)"},
+    "stats ttest": {"--m": "[1, 1e308]", "--alpha": "(0, 1)"},
     "decode": {"--beams": "[1, 1000]", "--groups": "[1, inf)", "--penalty": "[0, inf)",
                "--rep-penalty": "[1, inf)", "--runs": "[1, 1000]",
                "--temperature": "[0, inf)", "--max-len": "[1, 1000]", "--seed": "[0, inf)"},
@@ -679,10 +662,10 @@ def run(argv: list[str]) -> int:
             "warnings": sorted(warnings),
             **body,
         }
-        texts = {path: jsonl_text(records) for path, records in outputs.items()}
+        texts = [(path, jsonl_text(records)) for path, records in outputs.items()]
         report_text = render_report(report)
         if args.report is not None:
-            texts[args.report] = report_text
+            texts.append((args.report, report_text))
         write_files(texts)
         if args.report is None:
             sys.stdout.write(report_text)

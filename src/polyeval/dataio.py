@@ -343,7 +343,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 def load_clusters(path: str | Path) -> dict[str, list[list[int]]]:
     """Load externally produced clusterings keyed by example_id."""
     def parse(record: dict) -> tuple[str, list[list[int]]]:
-        groups = get_field(record, "clusters", list, [], of=list)
+        groups = get_field(record, "clusters", list, of=list)
         for index in (i for g in groups for i in g):
             if not isinstance(index, int) or isinstance(index, bool):
                 raise ValidationError(f"cluster index {json.dumps(index)} is not an integer")
@@ -415,8 +415,8 @@ def jsonl_text(records: Iterable[dict]) -> str:
     return "".join(dumps_canonical(record) + "\n" for record in records)
 
 
-def write_files(texts: dict[str | Path, str]) -> None:
-    """Write each text to its path: all of them, or on an error none.
+def write_files(texts: Iterable[tuple[str | Path, str]]) -> None:
+    """Write each (path, text) pair: all of them, or on an error none.
 
     Every text first goes to a temporary file beside the file its path
     resolves to (a symlink is followed).  The targets are replaced only once
@@ -424,27 +424,31 @@ def write_files(texts: dict[str | Path, str]) -> None:
     are removed and the targets keep their old content.  A target that
     exists but is not a regular file (a device or a pipe, such as
     /dev/stdout) cannot be replaced, so it is written in place, after the
-    regular files.  An empty path or a directory fails before anything is
-    staged.
+    regular files.  An empty path, a directory, or two paths that resolve to
+    one file fail before anything is staged.
     """
-    for path in texts:
+    targets: dict[str, tuple[str, str]] = {}  # resolved target -> (path, text)
+    in_place = []
+    for path, text in texts:
         if not str(path) or os.path.isdir(path):
             code = errno.EISDIR if str(path) else errno.ENOENT
             raise OSError(code, os.strerror(code), str(path))
+        if os.path.exists(path) and not os.path.isfile(path):
+            in_place.append((path, text))
+            continue
+        target = os.path.realpath(path)
+        if target in targets:
+            raise OSError(f"two outputs name one file: {targets[target][0]!r} and {str(path)!r}")
+        targets[target] = (str(path), text)
     staged: list[tuple[str, str]] = []
-    in_place = []
     try:
-        for i, (path, text) in enumerate(texts.items()):
-            if os.path.exists(path) and not os.path.isfile(path):
-                in_place.append((path, text))
-                continue
-            target = os.path.realpath(path)
+        for i, (target, (path, text)) in enumerate(targets.items()):
             staged.append((f"{target}.{os.getpid()}.{i}.tmp", target))
             try:
                 with open(staged[-1][0], "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:  # name the path given, not the temporary file
-                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+                raise OSError(exc.errno, exc.strerror, path) from exc
         for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
@@ -458,4 +462,4 @@ def write_files(texts: dict[str | Path, str]) -> None:
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    write_files({path: jsonl_text(records)})
+    write_files([(path, jsonl_text(records))])

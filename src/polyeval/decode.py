@@ -458,39 +458,43 @@ def sample_sequences(
 
 
 def pack_runs(
-    example_id: str, sequences: Iterable[DecodedSequence]
+    example_id: str,
+    sequences: Sequence[DecodedSequence],
+    *,
+    mode: GenerationMode = GenerationMode.POLYMORPHIC,
 ) -> tuple[GenerationSet, list[str]]:
-    """Package decoded sequences as a polymorphic GenerationSet, one run each.
+    """Package decoded sequences as a GenerationSet of the given mode.
 
-    Each text is parsed as a numbered inference list; a text with no list
-    marker falls back to a single inference.  The warnings name one event
-    each: ``max_len_without_end``, ``empty_run_dropped`` (only the end token
-    was produced), ``unparseable_fallback``, the parser's warnings, and one
+    A polymorphic set has one run per sequence: each text is parsed as a
+    numbered inference list, and a text with no list marker falls back to a
+    single inference.  A monomorphic set is one run holding every sequence's
+    text.  The warnings name one event each: ``max_len_without_end``, and for
+    a polymorphic set ``empty_run_dropped`` (only the end token was
+    produced), ``unparseable_fallback`` and the parser's warnings; then one
     ``dropped_duplicates`` per dropped repeated item.
     """
-    warnings: list[str] = []
-    run_lists: list[list[str]] = []
-    for seq in sequences:
-        if not seq.finished:
-            warnings.append("max_len_without_end")
-        if not seq.text:
-            warnings.append("empty_run_dropped")
-            continue
-        try:
-            parsed = parse_polymorphic(seq.text)
-            warnings.extend(parsed.warnings)
-            items = list(parsed.items)
-        except UnparseableSequence:
-            items = []
-        if not items:
-            items = [seq.text]
-            warnings.append("unparseable_fallback")
-        run_lists.append(items)
-    if not run_lists:
-        raise ValidationError(f"example {example_id!r}: every decoded run was empty")
-    gen_set, dropped = make_generation_set(
-        example_id, GenerationMode.POLYMORPHIC, run_lists
-    )
+    warnings = ["max_len_without_end" for seq in sequences if not seq.finished]
+    if mode != GenerationMode.POLYMORPHIC:
+        run_lists = [[seq.text for seq in sequences]]
+    else:
+        run_lists = []
+        for seq in sequences:
+            if not seq.text:
+                warnings.append("empty_run_dropped")
+                continue
+            try:
+                parsed = parse_polymorphic(seq.text)
+                warnings.extend(parsed.warnings)
+                items = list(parsed.items)
+            except UnparseableSequence:
+                items = []
+            if not items:
+                items = [seq.text]
+                warnings.append("unparseable_fallback")
+            run_lists.append(items)
+        if not run_lists:
+            raise ValidationError(f"example {example_id!r}: every decoded run was empty")
+    gen_set, dropped = make_generation_set(example_id, mode, run_lists)
     warnings.extend(["dropped_duplicates"] * dropped)
     return gen_set, warnings
 

@@ -247,8 +247,9 @@ def paired_t_bonferroni(
 ) -> list[PairedT]:
     """Two-sided paired t-tests over all vector pairs, Bonferroni-adjusted.
 
-    ``m`` defaults to the number of comparisons; adjusted p-values are capped
-    at 1.  Constant difference vectors are rejected rather than scored.
+    ``m`` defaults to the number of comparisons and is at most 1e308, so
+    that ``p * m`` is a float; adjusted p-values are capped at 1.  Constant
+    difference vectors are rejected rather than scored.
     """
     import numpy as np
 
@@ -258,8 +259,8 @@ def paired_t_bonferroni(
     pairs = list(itertools.combinations(range(len(items)), 2))
     if m is None:
         m = len(pairs)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    if not 1 <= m <= 1e308:
+        raise ValidationError(f"m must be in [1, 1e308], got {m}")
     results = []
     for i, j in pairs:
         name_x, xs = items[i]

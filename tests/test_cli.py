@@ -387,6 +387,33 @@ def test_normalize_to_a_directory_or_empty_path_writes_nothing(workdir, capsys, 
     assert list((workdir / "adir").iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--in", "raw.jsonl", "--source", "generic",
+     "--out", "r.json", "--report", "r.json"],
+    ["normalize", "--in", "raw.jsonl", "--source", "generic",
+     "--out", "./r.json", "--report", "r.json"],
+    ["diversity", "--generations", "g.jsonl", "--gold-clusters", "gold.jsonl",
+     "--out-clusters", "r.json", "--report", "./r.json"],
+], ids=["normalize_same_path", "normalize_dot_path", "diversity_dot_path"])
+def test_two_outputs_naming_one_file_write_nothing(workdir, capsys, argv):
+    write_jsonl(workdir / "raw.jsonl", [
+        {"example_id": "a", "source": "generic",
+         "utterances": [{"speaker": "A", "text": "hi"}],
+         "type_label": "Desire", "inferences": ["they want rest"]},
+    ])
+    make_generations(workdir / "g.jsonl", n=1)
+    write_jsonl(workdir / "gold.jsonl", [{"example_id": "e0", "clusters": [[0], [1]]}])
+    (workdir / "r.json").write_text("old\n")
+    assert run(argv) == 2
+    first, second = (argv[i + 1] for i, word in enumerate(argv)
+                     if word in ("--out", "--out-clusters", "--report"))
+    assert capsys.readouterr().err == (
+        f"i/o error: two outputs name one file: {first!r} and {second!r}\n")
+    assert (workdir / "r.json").read_text() == "old\n"
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "g.jsonl", "gold.jsonl", "r.json", "raw.jsonl"]
+
+
 def test_normalize_unknown_label_fails(workdir, capsys):
     write_jsonl(
         workdir / "raw.jsonl",
@@ -740,13 +767,34 @@ def test_stats_rejects_alpha_outside_unit_interval(workdir, capsys, command, alp
     assert not (workdir / "r.json").exists()
 
 
-@pytest.mark.parametrize("m", ["0", "-1"])
-def test_stats_ttest_rejects_m_below_1(workdir, capsys, m):
+def assert_ttest_rejects_m(workdir, capsys, m):
     write_significance_inputs(workdir)
     argv = SIGNIFICANCE_ARGV["ttest"] + ["--m", m, "--report", "r.json"]
     assert run(argv) == 1
-    assert capsys.readouterr().err == f"error: --m must be in [1, inf), got {m}\n"
+    assert capsys.readouterr().err == f"error: --m must be in [1, 1e308], got {m}\n"
     assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_stats_ttest_rejects_m_below_1(workdir, capsys, m):
+    assert_ttest_rejects_m(workdir, capsys, m)
+
+
+@pytest.mark.parametrize("m", [str(int(1e308) + 1), "1" + "0" * 400],
+                         ids=["bound_plus_1", "1e400"])
+def test_stats_ttest_rejects_m_beyond_the_float_range(workdir, capsys, m):
+    # above 1e308, a p-value times m would overflow
+    assert_ttest_rejects_m(workdir, capsys, m)
+
+
+def test_stats_ttest_takes_m_at_its_bound(workdir):
+    write_significance_inputs(workdir)
+    m = int(1e308)
+    assert run(SIGNIFICANCE_ARGV["ttest"] + ["--m", str(m), "--report", "r.json"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    (pair,) = report["pairs"]
+    assert report["m"] == m
+    assert pair["p_adjusted"] == min(1.0, pair["p_value"] * m) == 1.0
 
 
 # --- decode ------------------------------------------------------------------------
@@ -832,15 +880,14 @@ def test_decode_searches_once_per_command(workdir, monkeypatch, strategy):
         calls.append(prefix)
         return logprobs(self, prefix)
 
-    def building(build):
-        def counted(example_id, *args):
-            builds.append(example_id)
-            return build(example_id, *args)
-        return counted
+    def packing(example_id, *args, **kwargs):
+        builds.append(example_id)
+        return pack_runs(example_id, *args, **kwargs)
 
     monkeypatch.setattr(NgramLM, "logprobs", counting)
-    for name in ("make_generation_set", "pack_runs"):
-        monkeypatch.setattr(cli, name, building(getattr(cli, name)))
+    # pack_runs is where cli turns decoded sequences into a generation set
+    pack_runs = cli.pack_runs
+    monkeypatch.setattr(cli, "pack_runs", packing)
     counts = []
     for n in (1, 3):
         make_examples(workdir / "u.jsonl", n=n)
@@ -854,6 +901,37 @@ def test_decode_searches_once_per_command(workdir, monkeypatch, strategy):
         assert all(row["runs"] == rows[0]["runs"] for row in rows)
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+SEARCH_STRATEGIES = {
+    "beam": ["--strategy", "beam"],
+    "dbs": ["--strategy", "dbs", "--groups", "2"],
+    "poly_from_beams": ["--strategy", "poly", "--poly-from-beams"],
+}
+
+
+@pytest.mark.parametrize("strategy", [*SEARCH_STRATEGIES.values(), ["--strategy", "poly"]],
+                         ids=[*SEARCH_STRATEGIES, "poly"])
+def test_decode_of_no_examples_writes_an_empty_file(workdir, strategy):
+    (workdir / "lm.json").write_text(json.dumps(TOY_LM))
+    (workdir / "u.jsonl").write_text("")
+    assert run(DECODE_BASE + strategy + ["--beams", "4"]) == 0
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["examples"] == 0
+    monomorphic = "poly" not in strategy
+    assert report["warnings"] == (["max_len_without_end:0"] if monomorphic else [])
+    assert (workdir / "g.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("strategy", SEARCH_STRATEGIES.values(), ids=SEARCH_STRATEGIES)
+def test_decode_search_fails_even_without_examples(workdir, capsys, strategy):
+    # the search does not depend on the examples, so it runs, and fails, first
+    lm = dict(TOY_LM, cond=[row for row in TOY_LM["cond"] if row["context"] != ["; (2)"]])
+    (workdir / "lm.json").write_text(json.dumps(lm))
+    (workdir / "u.jsonl").write_text("")
+    assert run(DECODE_BASE + strategy + ["--beams", "4"]) == 1
+    assert capsys.readouterr().err == "error: no distribution for context ('; (2)',)\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 
 def test_decode_poly_counts_dropped_duplicates_in_total(workdir):
@@ -1033,13 +1111,28 @@ def test_cross_flag_errors_come_before_any_file_is_read(workdir, capsys, argv, e
      "probs must be an object of numbers"),
     (lambda lm: lm["cond"][0]["probs"].update(they=None),
      "probs must be an object of numbers"),
+    # an edit that returns text writes it instead of the config
+    (lambda lm: "[]", "LM config must be a JSON object"),
+    (lambda lm: "{", "malformed LM config: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    (lambda lm: lm["cond"].append(lm["cond"][1]), "duplicate context ('they',)"),
+    (lambda lm: lm.update(order=0), "order must be >= 1"),
+    (lambda lm: lm.update(end_token="<end>"), "end token '<end>' missing from vocabulary"),
+    (lambda lm: lm["vocab"].append("they"), "vocabulary has duplicate tokens"),
+    (lambda lm: lm["cond"][1].update(context=["them"]),
+     "context ('them',) uses unknown tokens"),
+    (lambda lm: lm["cond"][0].update(probs={}), "context () has an empty distribution"),
+    (lambda lm: lm["cond"][0]["probs"].update(them=0.0),
+     "unknown token 'them' in distribution"),
 ], ids=["order_string", "order_float", "order_bool", "vocab_string", "vocab_number",
         "end_token_number", "cond_object", "cond_number", "context_string",
-        "context_number", "probs_list", "prob_string", "prob_bool", "prob_null"])
+        "context_number", "probs_list", "prob_string", "prob_bool", "prob_null",
+        "not_an_object", "malformed_json", "duplicate_context", "order_0",
+        "end_token_not_in_vocab", "duplicate_vocab", "context_unknown_token",
+        "empty_distribution", "distribution_unknown_token"])
 def test_decode_rejects_lm_field_of_wrong_type(workdir, capsys, edit, message):
     lm = json.loads((GOLDEN / "toy_mono.lm.json").read_text())
-    edit(lm)
-    (workdir / "lm.json").write_text(json.dumps(lm))
+    (workdir / "lm.json").write_text(edit(lm) or json.dumps(lm))
     make_examples(workdir / "u.jsonl", n=1)
     assert run(DECODE_BASE + ["--strategy", "beam", "--beams", "4"]) == 1
     assert capsys.readouterr().err == f"error: lm.json: {message}\n"

@@ -344,10 +344,10 @@ def test_write_files_is_all_or_nothing(tmp_path):
     first = tmp_path / "first.jsonl"
     first.write_text("old\n")
     with pytest.raises(FileNotFoundError):
-        write_files({first: "new\n", tmp_path / "missing" / "second.json": "{}\n"})
+        write_files([(first, "new\n"), (tmp_path / "missing" / "second.json", "{}\n")])
     assert first.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["first.jsonl"]
-    write_files({first: "new\n", tmp_path / "second.json": "{}\n"})
+    write_files([(first, "new\n"), (tmp_path / "second.json", "{}\n")])
     assert first.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "second.json"]
 
@@ -360,9 +360,26 @@ def test_write_files_fails_on_a_directory_or_empty_path_before_staging(
     first = tmp_path / "first.jsonl"
     first.write_text("old\n")
     with pytest.raises(OSError) as raised:
-        write_files({first: "new\n", target: "{}\n", tmp_path / "last.json": "{}\n"})
+        write_files([(first, "new\n"), (target, "{}\n"), (tmp_path / "last.json", "{}\n")])
     assert raised.value.filename == target
     assert str(raised.value).endswith(f": {target!r}")
     assert first.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "first.jsonl"]
     assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("second", ["first.jsonl", "./first.jsonl", "link.jsonl"])
+def test_write_files_rejects_two_paths_to_one_file_before_staging(
+        tmp_path, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "first.jsonl").write_text("old\n")
+    (tmp_path / "link.jsonl").symlink_to("first.jsonl")
+    with pytest.raises(OSError) as raised:
+        write_files([("first.jsonl", "new\n"), (second, "{}\n")])
+    assert str(raised.value) == f"two outputs name one file: 'first.jsonl' and {second!r}"
+    assert (tmp_path / "first.jsonl").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "link.jsonl"]
+
+
+def test_write_files_writes_a_device_twice_in_place():
+    write_files([("/dev/null", "a\n"), ("/dev/null", "b\n")])

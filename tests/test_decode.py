@@ -335,6 +335,21 @@ def test_sample_runs_drops_empty_sequences():
     assert dropped > 0  # seed 0 hits at least one immediate end
 
 
+@pytest.mark.parametrize("mode", [GenerationMode.MONOMORPHIC_BEAM,
+                                  GenerationMode.MONOMORPHIC_DIVERSE_BEAM])
+def test_pack_runs_monomorphic_is_one_run_of_every_text(mode):
+    # no list parsing: "(1) a" stays one output, and a repeat is dropped
+    sequences = [DecodedSequence(tuple(text.split()) + (END,), text, -1.0, -0.5, True)
+                 for text in ("(1) a", "b", "b")]
+    sequences.append(DecodedSequence(("c",), "c", -2.0, -2.0, False))
+    gen_set, warnings = pack_runs("e", sequences, mode=mode)
+    assert (gen_set.mode, gen_set.runs) == (mode, (("(1) a", "b", "c"),))
+    assert sorted(warnings) == ["dropped_duplicates", "max_len_without_end"]
+    end_only = [DecodedSequence((END,), "", -1.0, -1.0, True)]
+    with pytest.raises(ValidationError, match="'e': empty generation output"):
+        pack_runs("e", end_only, mode=mode)
+
+
 def test_sample_rejects_bad_args():
     lm = lm_of(1, {(): {"a": 0.5, END: 0.5}})
     with pytest.raises(ValidationError):

@@ -2,9 +2,10 @@
 
 In an otherwise valid input file, one field of one record is replaced by a
 value of the wrong shape (a string, an int, null, a list of strings or a
-nested object, whichever the field is not).  The command must exit 1 with
-exactly one line, ``error: <file>:<line>: ...`` naming that record's line,
-show no traceback and create no output file.
+nested object, whichever the field is not), or deleted where the field has
+no default.  The command must exit 1 with exactly one line,
+``error: <file>:<line>: ...`` naming that record's line, show no traceback
+and create no output file.
 """
 import contextlib
 import io
@@ -121,8 +122,11 @@ SHAPES = {
     "strings": st.lists(st.text(max_size=5), min_size=1, max_size=3),
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
+# a deleted field is the "absent" case; these fields have a default instead
+OPTIONAL = {("raw_records", "source")}  # normalize --source
 CASES = [(loader, field, shape) for loader, (_, _, _, fields) in LOADERS.items()
-         for field, right in fields.items() for shape in SHAPES if shape != right]
+         for field, right in fields.items() for shape in [*SHAPES, "absent"]
+         if shape != right and (shape != "absent" or (loader, field) not in OPTIONAL)]
 
 
 def _run_in(directory: str, files: dict, argv: list[str]) -> tuple[int, str, list[str]]:
@@ -156,7 +160,10 @@ def test_wrong_shape_field_names_file_and_line(loader, field, shape, data):
     records = files[name]
     index = data.draw(st.sampled_from([i for i, r in enumerate(records) if field in r]),
                       label="record")
-    records[index][field] = data.draw(SHAPES[shape], label="value")
+    if shape == "absent":
+        del records[index][field]
+    else:
+        records[index][field] = data.draw(SHAPES[shape], label="value")
     with tempfile.TemporaryDirectory() as directory:
         code, err, created = _run_in(directory, files, argv)
         prefix = f"error: {os.path.join(directory, name)}:{index + 1}: "
@@ -184,3 +191,43 @@ def test_ragged_scores_name_file_and_line():
         prefix = f"error: {os.path.join(directory, 'x.jsonl')}:2: "
     assert code == 1 and err.startswith(prefix) and err.count("\n") == 1, err
     assert created == []
+
+
+# (loader, edit of the records of its file under test, line, message): a record
+# of the right shape whose value is invalid; line None is an error about the file
+INVALID_VALUES = {
+    "record_not_object": ("examples", lambda r: r.__setitem__(1, ["e1"]), 2,
+                          "record is not a JSON object"),
+    "blank_example_id": ("examples", lambda r: r[1].update(example_id=" "), 2,
+                         "example_id is blank"),
+    "empty_speaker_tag": ("examples", lambda r: r[1]["dialogue"][0].update(speaker=" "), 2,
+                          "example 'e1': empty speaker tag"),
+    "empty_turn_text": ("examples", lambda r: r[1]["dialogue"][1].update(text=""), 2,
+                        "example 'e1': empty turn text"),
+    "empty_dialogue": ("examples", lambda r: r[1].update(dialogue=[]), 2,
+                       "example 'e1': empty dialogue"),
+    "unknown_source": ("raw_records", lambda r: r[1].update(source="forum"), 2,
+                       "example 'r1': unknown source 'forum'"),
+    "empty_utterance_text": ("raw_records", lambda r: r[1]["utterances"][0].update(text=" "),
+                             2, "example 'r1': empty utterance text"),
+    "named_and_unnamed_utterances": (
+        "raw_records", lambda r: r[1]["utterances"][0].update(speaker=""), 2,
+        "example 'r1': mix of named and unnamed utterances"),
+    "no_inferences": ("raw_records", lambda r: r[1].update(inferences=[]), 2,
+                      "example 'r1': no inferences"),
+    "one_dimensional_vector": ("embeddings", lambda r: r[1].update(vector=[1.0]), 2,
+                               "vector must have d >= 2"),
+    "no_annotation_rows": ("annotations", list.clear, None, "no annotation rows"),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_VALUES)
+def test_invalid_value_names_file_and_line(case):
+    loader, edit, line, message = INVALID_VALUES[case]
+    name, inputs, argv, _ = LOADERS[loader]
+    files = {n: make() for n, make in inputs.items()}
+    edit(files[name])
+    with tempfile.TemporaryDirectory() as directory:
+        code, err, created = _run_in(directory, files, argv)
+        where = os.path.join(directory, name) + ("" if line is None else f":{line}")
+    assert (code, err, created) == (1, f"error: {where}: {message}\n", [])

@@ -294,3 +294,7 @@ def test_paired_t_validation():
         paired_t_bonferroni({"x": [1.0, 2.0]})
     with pytest.raises(ValidationError):
         paired_t_bonferroni({"x": [1.0, 2.0], "y": [1.0]})
+    # above 1e308, p * m could overflow
+    for m in (0, int(1e308) + 1, math.inf, math.nan):
+        with pytest.raises(ValidationError, match=r"m must be in \[1, 1e308\]"):
+            paired_t_bonferroni({"x": [1.0, 2.0, 4.0], "y": [1.0, 3.0, 3.0]}, m=m)
