@@ -8,7 +8,6 @@ that emits several inferences in one numbered sequence.
 from polyeval import (
     BeamConfig,
     NgramLM,
-    beam_search,
     diverse_beam_search,
     format_polymorphic,
     pack_runs,
@@ -32,8 +31,8 @@ lm = NgramLM(
     end_token=END,
 )
 
-print("beam search, 4 beams:")
-for seq in beam_search(lm, BeamConfig(beams=4, max_len=6)):
+print("beam search, 4 beams:")  # one group: plain beam search
+for seq in diverse_beam_search(lm, BeamConfig(beams=4, max_len=6)):
     print(f"  {seq.score:8.4f}  {seq.text}")
 
 print("\ndiverse beam search, 4 beams in 4 groups, penalty 1.5:")

@@ -23,7 +23,6 @@ from .core import (
     validate_generation_set,
 )
 from .dataio import (
-    EXCLUDED,
     EmbeddingStore,
     RawRecord,
     TYPE_SYNTHESIS,
@@ -42,7 +41,6 @@ from .decode import (
     NgramLM,
     ParsedSequence,
     apply_repetition_penalty,
-    beam_search,
     diverse_beam_search,
     format_polymorphic,
     load_ngram_lm,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import NonFiniteEntry, ValidationError
+from .errors import PolyevalError, ValidationError
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
@@ -188,7 +188,7 @@ def solve_max(matrix) -> Assignment:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"assignment needs a 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteEntry("score matrix contains NaN/Inf entries")
+        raise PolyevalError("score matrix contains NaN/Inf entries")
     rows, cols = _solver()(a, maximize=True)
     optimum = float(a[rows, cols].sum())
     pairs = sorted(zip(rows.tolist(), cols.tolist()))

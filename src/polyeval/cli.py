@@ -46,11 +46,7 @@ from .decode import (
     sample_many,
 )
 from .diversity import bcubed, cluster_greedy, diversity_report, ngram_uniqueness
-from .errors import (
-    ExcludedType,
-    PolyevalError,
-    ValidationError,
-)
+from .errors import PolyevalError, ValidationError
 from .report import render_report
 from .scoring import corpus_score
 from .stats import (
@@ -101,10 +97,7 @@ def _cmd_normalize(args) -> tuple:
     def parse(raw: dict) -> tuple:
         # an excluded type is kept as None, so its id still counts as taken
         record = validate_raw_record(raw, default_source=args.source)
-        try:
-            return record.example_id, normalize(record, seed=args.seed)
-        except ExcludedType:
-            return record.example_id, None
+        return record.example_id, normalize(record, seed=args.seed)
 
     examples = list(load_keyed(args.infile, parse, "example").values())
     records = [example_to_record(e) for e in examples if e is not None]
@@ -371,7 +364,7 @@ def _cmd_stats_prop(args) -> tuple:
 
 def _cmd_stats_ttest(args) -> tuple:
     def parse(record: dict) -> tuple:
-        return get_field(record, "name", str), float_array(record.get("values"), 1, "values")
+        return get_field(record, "name", str), float_array(record, "values", 1)
 
     vectors = load_keyed(args.scores, parse, "name")
     results = paired_t_bonferroni(vectors, m=args.m)

@@ -11,12 +11,7 @@ import json
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import (
-    ConsecutiveSameSpeaker,
-    EmptyReferences,
-    UnknownInferenceType,
-    ValidationError,
-)
+from .errors import ValidationError
 
 SPEAKER = "Speaker"
 LISTENER = "Listener"
@@ -242,7 +237,7 @@ def validate_example(raw: dict) -> Example:
     try:
         itype = InferenceType(type_name)
     except ValueError:
-        raise UnknownInferenceType(
+        raise ValidationError(
             f"example {example_id!r}: unknown inference type {type_name!r}"
         ) from None
 
@@ -259,14 +254,14 @@ def validate_example(raw: dict) -> Example:
         raise ValidationError(f"example {example_id!r}: empty dialogue")
     for prev, cur in zip(turns, turns[1:]):
         if prev.speaker_tag == cur.speaker_tag:
-            raise ConsecutiveSameSpeaker(
+            raise ValidationError(
                 f"example {example_id!r}: consecutive turns share speaker "
                 f"{cur.speaker_tag!r}"
             )
 
     references = tuple(normalize_text(r) for r in get_field(raw, "references", list, of=str))
     if not references or any(not r for r in references):
-        raise EmptyReferences(
+        raise ValidationError(
             f"example {example_id!r}: references must be nonempty"
         )
 

@@ -47,16 +47,7 @@ from .core import (
     get_field,
     normalize_text,
 )
-from .errors import (
-    DimensionMismatch,
-    ExcludedType,
-    InsufficientRuns,
-    MissingEmbedding,
-    NonFiniteEntry,
-    PolyevalError,
-    UnknownSourceLabel,
-    ValidationError,
-)
+from .errors import PolyevalError, ValidationError
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
@@ -64,21 +55,13 @@ if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
 RAW_SOURCES = ("convosense", "comfact", "cicero", "reflect", "generic")
 
 
-class _Excluded:
-    """Sentinel for source labels that are dropped rather than mapped."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Excluded"
-
-
-EXCLUDED = _Excluded()
-
 # Source label -> canonical inference type.  Cause/effect subtypes from the
 # source datasets collapse into single Cause/Effect/Prerequisite types;
-# isBefore/isAfter carry temporal order without causation and are excluded.
-TYPE_SYNTHESIS: dict[str, InferenceType | _Excluded] = {
-    "isBefore": EXCLUDED,
-    "isAfter": EXCLUDED,
+# isBefore/isAfter carry temporal order without causation and are excluded
+# (mapped to None).
+TYPE_SYNTHESIS: dict[str, InferenceType | None] = {
+    "isBefore": None,
+    "isAfter": None,
     "Causes": InferenceType.EFFECT,
     "xEffect": InferenceType.EFFECT,
     "oEffect": InferenceType.EFFECT,
@@ -103,12 +86,13 @@ TYPE_SYNTHESIS: dict[str, InferenceType | _Excluded] = {
 TYPE_SYNTHESIS.update({t.value: t for t in InferenceType})
 
 
-def map_type(label: str) -> InferenceType | _Excluded:
-    """Map a source-specific type label to its canonical type (or EXCLUDED)."""
+def map_type(label: str) -> InferenceType | None:
+    """Map a source-specific type label to its canonical type, or to None
+    for an excluded label; an unknown label is a ValidationError."""
     try:
         return TYPE_SYNTHESIS[label]
     except KeyError:
-        raise UnknownSourceLabel(f"unknown source type label {label!r}") from None
+        raise ValidationError(f"unknown source type label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -126,7 +110,7 @@ def validate_raw_record(raw: dict, default_source: str = "generic") -> RawRecord
     if source not in RAW_SOURCES:
         raise ValidationError(f"example {example_id!r}: unknown source {source!r}")
     utterances = []
-    for entry in get_field(raw, "utterances", list, [], of=dict):
+    for entry in get_field(raw, "utterances", list, of=dict):
         name = normalize_text(get_field(entry, "speaker", str, ""))
         text = normalize_text(get_field(entry, "text", str, ""))
         if not text:
@@ -134,12 +118,12 @@ def validate_raw_record(raw: dict, default_source: str = "generic") -> RawRecord
         utterances.append((name, text))
     if not utterances:
         raise ValidationError(f"example {example_id!r}: no utterances")
-    inferences = tuple(normalize_text(i) for i in get_field(raw, "inferences", list, [], of=str))
+    inferences = tuple(normalize_text(i) for i in get_field(raw, "inferences", list, of=str))
     return RawRecord(
         example_id,
         source,
         tuple(utterances),
-        get_field(raw, "type_label", str, ""),
+        get_field(raw, "type_label", str),
         inferences,
     )
 
@@ -189,17 +173,16 @@ def _replace_names(text: str, names: Iterable[str]) -> str:
     return normalize_text(text)
 
 
-def normalize(raw: RawRecord, seed: int = 0) -> Example:
-    """Convert a raw source record into a unified Example.
+def normalize(raw: RawRecord, seed: int = 0) -> Example | None:
+    """Convert a raw source record into a unified Example, or None when its
+    type label is excluded.
 
     Idempotent on already-unified records: existing "Speaker (A)"-style names
     are recognized and re-tagged identically.
     """
     mapped = map_type(raw.type_label)
-    if mapped is EXCLUDED:
-        raise ExcludedType(
-            f"example {raw.example_id!r}: type label {raw.type_label!r} is excluded"
-        )
+    if mapped is None:
+        return None
 
     # Merge consecutive utterances from the same participant.  Records with no
     # speaker names at all are assumed to already alternate.
@@ -254,7 +237,7 @@ def accumulate_runs(
         if setting == "lowN":
             return list(gs.runs[0])
         if len(gs.runs) < 3:
-            raise InsufficientRuns(
+            raise ValidationError(
                 f"example {gs.example_id!r}: highN needs 3 polymorphic runs, "
                 f"got {len(gs.runs)}"
             )
@@ -292,7 +275,7 @@ class EmbeddingStore:
     def __init__(self, vectors: dict[str, np.ndarray]):
         dims = {v.shape[0] for v in vectors.values()}
         if len(dims) > 1:
-            raise DimensionMismatch(f"mixed embedding dimensions: {sorted(dims)}")
+            raise ValidationError(f"mixed embedding dimensions: {sorted(dims)}")
         if dims and next(iter(dims)) < 2:
             raise ValidationError("embedding dimension must be >= 2")
         self._vectors = vectors
@@ -312,7 +295,7 @@ class EmbeddingStore:
                 vector = self._vectors[key]
             except KeyError:
                 where = f" (example {example_id!r})" if example_id else ""
-                raise MissingEmbedding(
+                raise PolyevalError(
                     f"no embedding for text {text!r} (key {key}){where}"
                 ) from None
             found = self._found[text] = (vector, float(np.linalg.norm(vector)))
@@ -326,12 +309,12 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         nonlocal dim
         key = (get_field(record, "key", str) if "key" in record
                else text_key(get_field(record, "text", str)))
-        vec = float_array(record.get("vector"), 1, "vector")
+        vec = float_array(record, "vector", 1)
         if vec.shape[0] < 2:
             raise ValidationError("vector must have d >= 2")
         dim = dim or vec.shape[0]
         if vec.shape[0] != dim:
-            raise DimensionMismatch(f"vector dimension {vec.shape[0]} != {dim}")
+            raise ValidationError(f"vector dimension {vec.shape[0]} != {dim}")
         return key, vec
 
     return EmbeddingStore(load_keyed(path, parse, "embedding key"))
@@ -396,15 +379,26 @@ def load_keyed(path: str | Path, parse: Callable[[dict], tuple], what: str) -> d
     return keyed
 
 
-def float_array(value, ndim: int, name: str) -> np.ndarray:
-    """A read-only, nonempty ``ndim``-D float array of finite JSON numbers."""
+def float_array(record: dict, name: str, ndim: int) -> np.ndarray:
+    """``record[name]`` as a read-only float array: a nonempty list (``ndim``
+    1) or list of equal-length lists (``ndim`` 2) of finite JSON numbers.
+    JSON true and false are not numbers.  The shape is checked on the JSON
+    value, so numpy never sees a ragged or mixed list."""
     import numpy as np
 
+    if name not in record:
+        raise ValidationError(f"missing field {name!r}")
+    value = record[name]
+    rows = value if ndim == 2 and isinstance(value, list) else [value]
+    wrong = ValidationError(f"{name} must be a nonempty {ndim}-D array of numbers")
+    if not (value and all(isinstance(row, list) and row and len(row) == len(rows[0])
+                          and set(map(type, row)) <= {int, float} for row in rows)):
+        raise wrong
     array = np.asarray(value)
-    if array.dtype.kind not in "iuf" or array.ndim != ndim or array.size == 0:
-        raise ValidationError(f"{name} must be a nonempty {ndim}-D array of numbers")
+    if array.dtype.kind not in "iuf":  # an integer beyond 64 bits
+        raise wrong
     if not np.all(np.isfinite(array)):
-        raise NonFiniteEntry(f"{name} has NaN/Inf entries")
+        raise PolyevalError(f"{name} has NaN/Inf entries")
     array = array.astype(float)
     array.setflags(write=False)
     return array

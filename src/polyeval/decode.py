@@ -6,7 +6,7 @@ with nonzero probability (log-probabilities are finite and logsumexp to 0),
 and an ``end_token`` attribute.  A deterministic n-gram toy language model
 is provided as the desk-scale scorer for verification and demos.
 
-Beam mechanics, in diverse_beam_search (beam_search is its one-group case):
+Beam mechanics, in diverse_beam_search (one group is plain beam search):
 finished candidates always move to the result pool without consuming beam
 slots, and the surviving unfinished candidates are pruned to the beam width
 by cumulative log-probability, less the diversity penalty in every group
@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import NUMBER, GenerationMode, GenerationSet, get_field, make_generation_set
-from .errors import PolyevalError, UnknownContext, UnparseableSequence, ValidationError
+from .errors import PolyevalError, ValidationError
 
 
 class TokenScorer(Protocol):
@@ -135,25 +135,6 @@ def _expand(scorer: TokenScorer, beams: list[tuple[tuple[str, ...], float]],
 
 def _rank(pool: list[DecodedSequence]) -> list[DecodedSequence]:
     return sorted(pool, key=lambda s: (-s.score, s.tokens))
-
-
-def beam_search(
-    scorer: TokenScorer, config: BeamConfig, k: int | None = None
-) -> list[DecodedSequence]:
-    """Standard beam search; returns the top-k length-normalized sequences.
-
-    Sequences still unfinished at max_len are force-terminated and flagged
-    (``finished=False``).
-    """
-    if config.groups != 1:
-        raise ValidationError("beam_search requires groups=1; see diverse_beam_search")
-    k = config.beams if k is None else k
-    if k < 1:
-        raise ValidationError("need at least one run")
-    if k > config.beams:
-        raise ValidationError(f"k ({k}) cannot exceed beams ({config.beams})")
-    # one group is plain beam search: no earlier group to penalize against
-    return diverse_beam_search(scorer, config)[:k]
 
 
 def diverse_beam_search(
@@ -466,11 +447,12 @@ def pack_runs(
     """Package decoded sequences as a GenerationSet of the given mode.
 
     A polymorphic set has one run per sequence: each text is parsed as a
-    numbered inference list, and a text with no list marker falls back to a
-    single inference.  A monomorphic set is one run holding every sequence's
-    text.  The warnings name one event each: ``max_len_without_end``, and for
-    a polymorphic set ``empty_run_dropped`` (only the end token was
-    produced), ``unparseable_fallback`` and the parser's warnings; then one
+    numbered inference list, and a text that parses to no item (no list
+    marker, or only empty items) falls back to a single inference.  A
+    monomorphic set is one run holding every sequence's text.  The warnings
+    name one event each: ``max_len_without_end``, and for a polymorphic set
+    ``empty_run_dropped`` (only the end token was produced),
+    ``unparseable_fallback`` and the parser's warnings; then one
     ``dropped_duplicates`` per dropped repeated item.
     """
     warnings = ["max_len_without_end" for seq in sequences if not seq.finished]
@@ -482,12 +464,9 @@ def pack_runs(
             if not seq.text:
                 warnings.append("empty_run_dropped")
                 continue
-            try:
-                parsed = parse_polymorphic(seq.text)
-                warnings.extend(parsed.warnings)
-                items = list(parsed.items)
-            except UnparseableSequence:
-                items = []
+            parsed = parse_polymorphic(seq.text)
+            warnings.extend(parsed.warnings)
+            items = list(parsed.items)
             if not items:
                 items = [seq.text]
                 warnings.append("unparseable_fallback")
@@ -526,14 +505,15 @@ def parse_polymorphic(sequence: str) -> ParsedSequence:
     semicolon, so a bare "(k)" inside an item does not split it; strings with
     only bare markers still parse by splitting on them.  Missing final
     semicolons are fine; duplicated, out-of-order, or non-contiguous indices
-    parse with warnings.  It is an error only when no "(k)" marker exists.
+    parse with warnings.  A string with no "(k)" marker parses to an empty
+    ParsedSequence (no items, no warnings).
     """
     matches = list(_LIST_BOUNDARY.finditer(sequence))
     bare_mode = not matches
     if bare_mode:
         matches = list(_BARE_MARKER.finditer(sequence))
     if not matches:
-        raise UnparseableSequence(f"no list marker found in {sequence!r}")
+        return ParsedSequence((), (), ())
     warnings = []
     if sequence[: matches[0].start()].strip():
         warnings.append("leading_text")
@@ -625,7 +605,7 @@ class NgramLM:
         try:
             return dict(self._table[context])
         except KeyError:
-            raise UnknownContext(f"no distribution for context {context!r}") from None
+            raise PolyevalError(f"no distribution for context {context!r}") from None
 
 
 def load_ngram_lm(path: str | Path) -> NgramLM:

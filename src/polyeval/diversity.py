@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .core import Example
 from .dataio import EmbeddingStore
-from .errors import IndexSetMismatch, ValidationError
+from .errors import PolyevalError, ValidationError
 from .scoring import validate_clustering
 
 
@@ -76,7 +76,7 @@ def bcubed(
     pred_map = _element_map(predicted)
     gold_map = _element_map(gold)
     if set(pred_map) != set(gold_map):
-        raise IndexSetMismatch(
+        raise PolyevalError(
             "predicted and gold clusterings cover different index sets"
         )
     if not pred_map:

@@ -1,8 +1,9 @@
 """Exception types raised across the toolkit.
 
-Everything inherits from :class:`PolyevalError` so callers (and the CLI) can
-distinguish toolkit failures from programming errors.  Errors caused by bad
-input data additionally inherit :class:`ValidationError`.
+Every toolkit failure is a :class:`PolyevalError`, so callers (and the CLI)
+can tell it from a programming error.  A failure caused by input data that
+violates a documented contract is also a :class:`ValidationError`.  The
+message says what went wrong; there are no finer classes to catch.
 """
 
 
@@ -12,105 +13,3 @@ class PolyevalError(Exception):
 
 class ValidationError(PolyevalError):
     """Input data violates a documented contract."""
-
-
-# core / dataio
-
-class EmptyReferences(ValidationError):
-    pass
-
-
-class ConsecutiveSameSpeaker(ValidationError):
-    pass
-
-
-class UnknownInferenceType(ValidationError):
-    pass
-
-
-class ExcludedType(ValidationError):
-    pass
-
-
-class UnknownSourceLabel(ValidationError):
-    pass
-
-
-class InsufficientRuns(ValidationError):
-    pass
-
-
-class MissingEmbedding(PolyevalError):
-    pass
-
-
-class DimensionMismatch(ValidationError):
-    pass
-
-
-# metrics / assignment / scoring
-
-class EmptyText(ValidationError):
-    pass
-
-
-class ZeroNormVector(PolyevalError):
-    pass
-
-
-class NonFiniteEntry(PolyevalError):
-    pass
-
-
-class MissingGenerations(PolyevalError):
-    pass
-
-
-class MissingExternalScores(PolyevalError):
-    pass
-
-
-# diversity
-
-class EmptyCluster(ValidationError):
-    pass
-
-
-class IndexSetMismatch(PolyevalError):
-    pass
-
-
-# stats
-
-class MixedLabelSets(ValidationError):
-    pass
-
-
-class UnknownLabel(ValidationError):
-    pass
-
-
-class EmptyTable(ValidationError):
-    pass
-
-
-class DegenerateMarginals(PolyevalError):
-    pass
-
-
-class NoDiscordantPairs(PolyevalError):
-    pass
-
-
-class ZeroVariance(PolyevalError):
-    pass
-
-
-# decode
-
-class UnparseableSequence(PolyevalError):
-    pass
-
-
-class UnknownContext(PolyevalError):
-    pass

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .assignment import solve_max
 from .core import Example, EvalConfig, GenerationMode, GenerationSet, InferenceType
-from .errors import EmptyCluster, MissingGenerations, PolyevalError, ValidationError
+from .errors import PolyevalError, ValidationError
 from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
@@ -85,7 +85,7 @@ def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
     out = []
     for group in clusters:
         if not group:
-            raise EmptyCluster(f"example {example_id!r}: empty cluster")
+            raise ValidationError(f"example {example_id!r}: empty cluster")
         for idx in group:
             if idx < 0 or idx >= n_outputs:
                 raise ValidationError(
@@ -240,7 +240,7 @@ def corpus_score(
     def one(example: Example) -> ExampleScore:
         gs = generations.get(example.example_id)
         if gs is None:
-            raise MissingGenerations(
+            raise PolyevalError(
                 f"no generations for example {example.example_id!r}"
             )
         outputs = select_outputs(gs, config.top_k)

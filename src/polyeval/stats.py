@@ -12,15 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import (
-    DegenerateMarginals,
-    EmptyTable,
-    MixedLabelSets,
-    NoDiscordantPairs,
-    UnknownLabel,
-    ValidationError,
-    ZeroVariance,
-)
+from .errors import PolyevalError, ValidationError
 
 # positive/negative conversion for the two annotation tasks
 REASONABILITY_LABELS = {
@@ -44,16 +36,16 @@ def binarize(items: Sequence[tuple[str, str, str]]) -> list[tuple[str, bool, boo
     All labels must come from a single task's label set.
     """
     if not items:
-        raise EmptyTable("annotation table is empty")
+        raise ValidationError("annotation table is empty")
     tasks = set()
     for _, label_a, label_b in items:
         for label in (label_a, label_b):
             found = [task for task, labels in LABEL_SETS.items() if label in labels]
             if not found:
-                raise UnknownLabel(f"unknown annotation label {label!r}")
+                raise ValidationError(f"unknown annotation label {label!r}")
             tasks.add(found[0])
     if len(tasks) > 1:
-        raise MixedLabelSets(f"table mixes label sets: {sorted(tasks)}")
+        raise ValidationError(f"table mixes label sets: {sorted(tasks)}")
     labels = LABEL_SETS[tasks.pop()]
     return [
         (item_id, labels[label_a], labels[label_b])
@@ -76,7 +68,7 @@ def gwet_ac1(pairs: Sequence[tuple[bool, bool]]) -> float:
     positive rates, which stays <= 0.5, so the coefficient is always defined.
     """
     if not pairs:
-        raise EmptyTable("no items to compute agreement over")
+        raise ValidationError("no items to compute agreement over")
     a, b, c, d = _agreement_counts(pairs)
     n = a + b + c + d
     observed = (a + d) / n
@@ -88,7 +80,7 @@ def gwet_ac1(pairs: Sequence[tuple[bool, bool]]) -> float:
 def cohen_kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
     """Cohen's kappa; undefined when both marginals are degenerate."""
     if not pairs:
-        raise EmptyTable("no items to compute agreement over")
+        raise ValidationError("no items to compute agreement over")
     a, b, c, d = _agreement_counts(pairs)
     n = a + b + c + d
     observed = (a + d) / n
@@ -96,7 +88,7 @@ def cohen_kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
     p_y = (a + c) / n
     expected = p_x * p_y + (1 - p_x) * (1 - p_y)
     if expected == 1.0:
-        raise DegenerateMarginals("chance agreement is 1; kappa undefined")
+        raise PolyevalError("chance agreement is 1; kappa undefined")
     return (observed - expected) / (1 - expected)
 
 
@@ -131,11 +123,11 @@ def mcnemar(paired: Sequence[tuple[bool, bool]]) -> McNemarResult:
     one-degree chi-square tail.
     """
     if not paired:
-        raise EmptyTable("no paired judgments")
+        raise ValidationError("no paired judgments")
     b = sum(1 for x, y in paired if x and not y)
     c = sum(1 for x, y in paired if not x and y)
     if b + c == 0:
-        raise NoDiscordantPairs("all pairs agree; McNemar's test is undefined")
+        raise PolyevalError("all pairs agree; McNemar's test is undefined")
     statistic = (b - c) ** 2 / (b + c)
     return McNemarResult(
         statistic=statistic,
@@ -272,7 +264,7 @@ def paired_t_bonferroni(
         diffs = np.asarray(xs, dtype=float) - np.asarray(ys, dtype=float)
         sd = float(diffs.std(ddof=1))
         if sd == 0.0:
-            raise ZeroVariance(
+            raise PolyevalError(
                 f"constant differences between {name_x!r} and {name_y!r}"
             )
         n = len(diffs)

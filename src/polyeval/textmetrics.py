@@ -37,13 +37,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import example_id_of, normalize_text
 from .dataio import EmbeddingStore, float_array, load_keyed
-from .errors import (
-    EmptyText,
-    MissingExternalScores,
-    PolyevalError,
-    ValidationError,
-    ZeroNormVector,
-)
+from .errors import PolyevalError, ValidationError
 
 if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
@@ -55,7 +49,7 @@ def tokenize(text: str) -> list[str]:
     """Lowercase whitespace tokenization used by the n-gram metrics."""
     tokens = text.lower().split()
     if not tokens:
-        raise EmptyText(f"text has no tokens: {text!r}")
+        raise ValidationError(f"text has no tokens: {text!r}")
     return tokens
 
 
@@ -151,7 +145,7 @@ def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
     cand_text, u, nu = candidate
     ref_text, v, nv = reference
     if nu == 0.0 or nv == 0.0:
-        raise ZeroNormVector(
+        raise PolyevalError(
             f"zero-norm embedding for {(cand_text if nu == 0.0 else ref_text)!r}"
         )
     return float(u.dot(v) / (nu * nv))
@@ -267,7 +261,7 @@ class ExternalScoreSidecar:
         try:
             matrix = self._scores[example_id]
         except KeyError:
-            raise MissingExternalScores(
+            raise PolyevalError(
                 f"no external scores for example {example_id!r}"
             ) from None
         if matrix.shape != (n_outputs, n_references):
@@ -281,6 +275,6 @@ class ExternalScoreSidecar:
 def load_external_scores(path: str | Path) -> ExternalScoreSidecar:
     """Score matrices keyed by example_id, rows outputs and columns references."""
     def parse(record: dict) -> tuple[str, np.ndarray]:
-        return example_id_of(record), float_array(record.get("scores"), 2, "scores")
+        return example_id_of(record), float_array(record, "scores", 2)
 
     return ExternalScoreSidecar(load_keyed(path, parse, "example"))

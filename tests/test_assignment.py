@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyeval.assignment import solve_max
-from polyeval.errors import NonFiniteEntry, ValidationError
+from polyeval.errors import PolyevalError, ValidationError
 
 
 def assignments(matrix):
@@ -175,9 +175,9 @@ def test_constant_shift_property():
 
 
 def test_invalid_inputs():
-    with pytest.raises(NonFiniteEntry):
+    with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
         solve_max([[1.0, float("nan")]])
-    with pytest.raises(NonFiniteEntry):
+    with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
         solve_max([[float("inf")]])
     with pytest.raises(ValidationError):
         solve_max(np.zeros((0, 3)))

@@ -6,7 +6,6 @@ import pytest
 
 from polyeval.core import InferenceType, make_generation_set
 from polyeval.dataio import (
-    EXCLUDED,
     RawRecord,
     TYPE_SYNTHESIS,
     accumulate_runs,
@@ -18,14 +17,7 @@ from polyeval.dataio import (
     write_files,
     write_jsonl,
 )
-from polyeval.errors import (
-    DimensionMismatch,
-    ExcludedType,
-    InsufficientRuns,
-    MissingEmbedding,
-    UnknownSourceLabel,
-    ValidationError,
-)
+from polyeval.errors import PolyevalError, ValidationError
 
 
 def raw(utterances, inferences=("x",), label="Desire", example_id="r1",
@@ -116,9 +108,8 @@ def test_normalize_is_idempotent_on_unified_records():
 
 
 def test_normalize_rejects_excluded_and_unknown_labels():
-    with pytest.raises(ExcludedType):
-        normalize(raw([("A", "hi")], label="isBefore"))
-    with pytest.raises(UnknownSourceLabel):
+    assert normalize(raw([("A", "hi")], label="isBefore")) is None
+    with pytest.raises(ValidationError, match="unknown source type label 'whatIsThis'"):
         normalize(raw([("A", "hi")], label="whatIsThis"))
 
 
@@ -172,11 +163,11 @@ def test_map_type_synthesis(label, expected):
 
 
 def test_map_type_exclusions_and_identity():
-    assert map_type("isBefore") is EXCLUDED
-    assert map_type("isAfter") is EXCLUDED
+    assert map_type("isBefore") is None
+    assert map_type("isAfter") is None
     for itype in InferenceType:
         assert map_type(itype.value) is itype
-    with pytest.raises(UnknownSourceLabel):
+    with pytest.raises(ValidationError, match="unknown source type label 'nope'"):
         map_type("nope")
 
 
@@ -205,7 +196,7 @@ def test_highn_concatenates_and_dedups():
 
 def test_highn_requires_three_polymorphic_runs():
     gs = gen("polymorphic", [["a"], ["b"]])
-    with pytest.raises(InsufficientRuns):
+    with pytest.raises(ValidationError, match="highN needs 3 polymorphic runs, got 2"):
         accumulate_runs(gs, "highN")
 
 
@@ -251,7 +242,7 @@ def test_embedding_store_roundtrip(tmp_path):
     assert store.dim == 2
     assert np.allclose(store.lookup_with_norm("hello")[0], [1.0, 0.0])
     assert np.allclose(store.lookup_with_norm("  world \n")[0], [0.0, 1.0])
-    with pytest.raises(MissingEmbedding, match="absent"):
+    with pytest.raises(PolyevalError, match="no embedding for text 'absent'"):
         store.lookup_with_norm("absent", example_id="e9")
 
 
@@ -280,10 +271,10 @@ def test_embedding_store_hashes_each_found_text_once(monkeypatch):
     assert sorted(keyed) == texts
     # a missing text is hashed and fails on every lookup
     for attempt in range(1, 4):
-        with pytest.raises(MissingEmbedding, match="'absent'.*example 'e9'"):
+        with pytest.raises(PolyevalError, match="no embedding for text 'absent'.*example 'e9'"):
             store.lookup_with_norm("absent", example_id="e9")
         assert keyed.count("absent") == attempt
-    with pytest.raises(MissingEmbedding):
+    with pytest.raises(PolyevalError, match="no embedding for text 'absent'"):
         store.lookup_with_norm("absent")
 
 
@@ -296,7 +287,7 @@ def test_embedding_dimension_mismatch(tmp_path):
             {"text": "b", "vector": [1.0] * 8},
         ],
     )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="vector dimension 8 != 4"):
         load_embeddings(path)
 
 

@@ -11,8 +11,8 @@ from polyeval.decode import (
     BeamConfig,
     DecodedSequence,
     NgramLM,
+    ParsedSequence,
     apply_repetition_penalty,
-    beam_search,
     diverse_beam_search,
     format_polymorphic,
     pack_runs,
@@ -20,12 +20,7 @@ from polyeval.decode import (
     sample_many,
     sample_sequences,
 )
-from polyeval.errors import (
-    PolyevalError,
-    UnknownContext,
-    UnparseableSequence,
-    ValidationError,
-)
+from polyeval.errors import PolyevalError, ValidationError
 
 END = "</s>"
 
@@ -67,7 +62,7 @@ def oracle_topk(lm, max_len, k):
 
 def test_dominant_single_path():
     lm = lm_of(2, {(): {"a": 0.9, END: 0.1}, ("a",): {END: 1.0}})
-    top = beam_search(lm, BeamConfig(beams=2, max_len=4), k=1)
+    top = diverse_beam_search(lm, BeamConfig(beams=2, max_len=4))[:1]
     assert top[0].tokens == ("a", END)
     assert top[0].text == "a"
     assert top[0].finished
@@ -85,7 +80,7 @@ def test_beam_equals_exhaustive_enumeration():
     max_len = 5
     complete = enumerate_all(lm, max_len)
     config = BeamConfig(beams=len(complete), max_len=max_len)
-    got = beam_search(lm, config, k=len(complete))
+    got = diverse_beam_search(lm, config)
     want = oracle_topk(lm, max_len, len(complete))
     assert [(s.tokens, s.finished) for s in got] == [
         (t, fin) for t, _, fin in want
@@ -120,14 +115,14 @@ def test_beam_matches_oracle_on_random_toy_lms():
         assert len(complete) <= 4096
         k = min(len(complete), int(rng.integers(1, 8)))
         config = BeamConfig(beams=len(complete), max_len=max_len)
-        got = beam_search(lm, config, k=k)
+        got = diverse_beam_search(lm, config)[:k]
         want = oracle_topk(lm, max_len, k)
         assert [s.tokens for s in got] == [t for t, _, _ in want], f"trial {trial}"
 
 
 def test_equal_scores_tie_break_lexicographic():
     lm = lm_of(1, {(): {"x": 0.4, "y": 0.4, END: 0.2}})
-    top = beam_search(lm, BeamConfig(beams=8, max_len=2), k=6)
+    top = diverse_beam_search(lm, BeamConfig(beams=8, max_len=2))[:6]
     # four forced two-token sequences tie at the best normalized score, then
     # the two finished ones tie below them; each block sorts lexicographically
     assert [s.tokens for s in top] == [
@@ -144,19 +139,9 @@ def test_equal_scores_tie_break_lexicographic():
 
 def test_force_termination_is_flagged():
     lm = lm_of(1, {(): {"a": 1.0}}, vocab=["a", END])
-    top = beam_search(lm, BeamConfig(beams=1, max_len=3))
+    top = diverse_beam_search(lm, BeamConfig(beams=1, max_len=3))
     assert top[0].tokens == ("a", "a", "a")
     assert not top[0].finished
-
-
-def test_beam_rejects_bad_config():
-    lm = lm_of(1, {(): {"a": 0.5, END: 0.5}})
-    with pytest.raises(ValidationError):
-        beam_search(lm, BeamConfig(beams=4, groups=2))
-    with pytest.raises(ValidationError):
-        beam_search(lm, BeamConfig(beams=2), k=5)
-    with pytest.raises(ValidationError, match="need at least one run"):
-        beam_search(lm, BeamConfig(beams=2), k=0)
 
 
 # --- diverse beam search -----------------------------------------------------------
@@ -177,7 +162,7 @@ def test_zero_penalty_degenerates_to_copies():
             beams=width * groups, groups=groups, diversity_penalty=0.0, max_len=4
         )
         flat = diverse_beam_search(lm, config)
-        single = beam_search(lm, BeamConfig(beams=width, max_len=4), k=width)
+        single = diverse_beam_search(lm, BeamConfig(beams=width, max_len=4))
         assert flat == single * groups
 
 
@@ -237,9 +222,9 @@ def test_repetition_penalty_steers_beam():
             ("b",): {END: 1.0},
         },
     )
-    plain = beam_search(lm, BeamConfig(beams=1, max_len=3))
+    plain = diverse_beam_search(lm, BeamConfig(beams=1, max_len=3))
     assert plain[0].tokens == ("a", "a", "a")
-    penalized = beam_search(
+    penalized = diverse_beam_search(
         lm, BeamConfig(beams=1, max_len=3, repetition_penalty=5.0)
     )
     assert penalized[0].tokens[:2] != ("a", "a")
@@ -607,8 +592,7 @@ def test_parse_keeps_internal_markers():
 
 
 def test_parse_unparseable():
-    with pytest.raises(UnparseableSequence):
-        parse_polymorphic("no markers here")
+    assert parse_polymorphic("no markers here") == ParsedSequence((), (), ())
     with pytest.raises(ValidationError):
         format_polymorphic([])
     with pytest.raises(ValidationError):
@@ -652,7 +636,7 @@ def test_lm_distributions_must_normalize():
 
 def test_lm_unknown_context():
     lm = lm_of(2, {(): {"a": 1.0}}, vocab=["a", END])
-    with pytest.raises(UnknownContext):
+    with pytest.raises(PolyevalError, match="no distribution for context \\('a',\\)"):
         lm.logprobs(("a",))
 
 

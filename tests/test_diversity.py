@@ -11,7 +11,7 @@ from polyeval.diversity import (
     diversity_report,
     ngram_uniqueness,
 )
-from polyeval.errors import IndexSetMismatch, MissingEmbedding, ValidationError
+from polyeval.errors import PolyevalError, ValidationError
 
 
 def store_of(*vectors):
@@ -71,7 +71,7 @@ def test_raising_tau_never_merges_more():
 
 def test_cluster_greedy_validation():
     store = store_of([1, 0])
-    with pytest.raises(MissingEmbedding):
+    with pytest.raises(PolyevalError, match="no embedding for text 'missing'"):
         cluster_greedy(["t0", "missing"], store)
     with pytest.raises(ValidationError):
         cluster_greedy(["t0"], store, tau=1.5)
@@ -177,7 +177,7 @@ def test_bcubed_singleton_prediction_has_perfect_precision():
 
 
 def test_bcubed_index_mismatch():
-    with pytest.raises(IndexSetMismatch):
+    with pytest.raises(PolyevalError, match="clusterings cover different index sets"):
         bcubed([[0, 1]], [[0], [2]])
 
 
