@@ -13,9 +13,13 @@ loads in about 0.015 s.
 
 The tie contract has one definition: the result is the lexicographically
 smallest row-sorted pair list among all assignments whose total is
->= optimum - 1e-9.  The tolerance is measured from the optimum alone, so
-near-ties do not chain: two assignments within 1e-9 of each other are not
-both ties unless both are within 1e-9 of the optimum.
+>= optimum - 1e-9, where the optimum is the total of the solver's pairs.
+The tolerance is measured from the optimum alone, so near-ties do not
+chain: two assignments within 1e-9 of each other are not both ties unless
+both are within 1e-9 of the optimum.  A total is the exact sum of its
+entries rounded once (``math.fsum``), so an assignment has one total
+however its entries are added, and an assignment that reaches the
+threshold in one test reaches it in every test.
 
 Any other assignment lacks at least one of the solver's pairs, so the
 optimum is unique when forbidding each solver pair in turn drops the best
@@ -106,47 +110,55 @@ def _solver():
     return linear_sum_assignment
 
 
-def _max_total(matrix: np.ndarray) -> float:
-    """Optimal assignment total of a score matrix; -inf marks a forbidden
-    pair, and -inf is returned when every assignment uses one."""
+def _solve(matrix: np.ndarray):
+    """The solver's optimal (rows, cols) index arrays, rows ascending; -inf
+    marks a forbidden pair, and None is returned when every assignment uses
+    one."""
     try:
-        rows, cols = _solver()(matrix, maximize=True)
+        return _solver()(matrix, maximize=True)
     except ValueError:  # "cost matrix is infeasible"
-        return -math.inf
-    return float(matrix[rows, cols].sum())
+        return None
 
 
-def _is_unique(matrix: np.ndarray, pairs, optimum: float) -> bool:
+def _is_unique(matrix: np.ndarray, pairs, threshold: float) -> bool:
     """True when every assignment without one of ``pairs`` (an optimal
-    assignment) totals less than optimum - 1e-9."""
+    assignment) totals less than ``threshold``."""
     forbidden = matrix.copy()
     for r, c in pairs:
         forbidden[r, c] = -math.inf
-        if _max_total(forbidden) >= optimum - _TIE_TOL:
+        best = _solve(forbidden)
+        if best is not None and math.fsum(forbidden[best].tolist()) >= threshold:
             return False
         forbidden[r, c] = matrix[r, c]
     return True
 
 
-def _lex_smallest_pairs(matrix: np.ndarray, optimum: float) -> list[tuple[int, int]]:
-    """Row-sorted pair list of the lexicographically smallest optimum.
+def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
+                        threshold: float) -> list[tuple[int, int]]:
+    """Row-sorted pair list of the lexicographically smallest assignment
+    whose total reaches ``threshold``.
 
-    Greedily fixes pairs in ascending (row, col) order, keeping a candidate
-    only if the best completion on the remaining submatrix still reaches the
-    running target.  Rows may be skipped only when more rows than columns
-    remain (m > n).
+    Greedily fixes pairs in ascending (row, col) order.  ``witness`` is an
+    assignment that reaches the threshold and begins with the pairs fixed so
+    far; a candidate is kept when it is the witness's next pair, or when the
+    solver's best completion on the remaining submatrix reaches the
+    threshold, which makes that completion the witness.  So the witness's
+    next pair is always left to keep.  Rows may be skipped only when more
+    rows than columns remain (m > n).
     """
     import numpy as np
 
     m, n = matrix.shape
-    size = min(m, n)
+    size = len(witness)
+    # the float error of a total, so that the upper bound never drops a
+    # candidate whose total reaches the threshold
+    slack = 2 * size * size * sys.float_info.epsilon * float(np.abs(matrix).max())
     rows = list(range(m))
     cols = list(range(n))
-    target = optimum
-    pairs: list[tuple[int, int]] = []
 
     for pos in range(size):
         need = size - pos - 1
+        prefix = math.fsum(matrix[r, c] for r, c in witness[:pos])
         chosen = None
         for ri, r in enumerate(rows):
             if len(rows) - ri - 1 < need:
@@ -159,25 +171,29 @@ def _lex_smallest_pairs(matrix: np.ndarray, optimum: float) -> list[tuple[int, i
             else:
                 ub_rest = 0.0
             for c in cols:
-                if matrix[r, c] + ub_rest < target - _TIE_TOL:
+                if (r, c) == witness[pos]:
+                    chosen = ri
+                    break
+                if prefix + matrix[r, c] + ub_rest < threshold - slack:
                     continue
+                rest = []
                 if need:
                     rest_cols = [x for x in cols if x != c]
-                    best_rest = _max_total(matrix[np.ix_(rest_rows, rest_cols)])
-                else:
-                    best_rest = 0.0
-                if matrix[r, c] + best_rest >= target - _TIE_TOL:
-                    chosen = (ri, r, c)
+                    best = _solve(matrix[np.ix_(rest_rows, rest_cols)])
+                    if best is None:
+                        continue
+                    rest = [(rest_rows[i], rest_cols[j]) for i, j in zip(*best)]
+                candidate = [*witness[:pos], (r, c), *rest]
+                if math.fsum(matrix[p] for p in candidate) >= threshold:
+                    chosen, witness = ri, candidate
                     break
-            if chosen:
+            if chosen is not None:
                 break
-        assert chosen is not None, "optimal completion must exist"
-        ri, r, c = chosen
-        pairs.append((r, c))
-        rows = rows[ri + 1 :]
-        cols.remove(c)
-        target -= matrix[r, c]
-    return pairs
+        if chosen is None:
+            raise PolyevalError("tie-break found no assignment that reaches the optimum")
+        rows = rows[chosen + 1 :]
+        cols.remove(witness[pos][1])
+    return witness
 
 
 def solve_max(matrix) -> Assignment:
@@ -189,12 +205,11 @@ def solve_max(matrix) -> Assignment:
         raise ValidationError(f"assignment needs a 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise PolyevalError("score matrix contains NaN/Inf entries")
-    rows, cols = _solver()(a, maximize=True)
-    optimum = float(a[rows, cols].sum())
+    rows, cols = _solve(a)
+    threshold = math.fsum(a[rows, cols].tolist()) - _TIE_TOL
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    unique = _is_unique(a, pairs, optimum)
+    unique = _is_unique(a, pairs, threshold)
     if not unique:
-        pairs = _lex_smallest_pairs(a, optimum)
-    objective = float(sum(a[r, c] for r, c in pairs))
-    return Assignment(tuple(pairs), objective, unique)
+        pairs = _lex_smallest_pairs(a, pairs, threshold)
+    return Assignment(tuple(pairs), float(sum(a[r, c] for r, c in pairs)), unique)
 

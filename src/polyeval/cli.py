@@ -9,11 +9,20 @@ and its ``config`` is every parsed flag but ``--report``, so the parser is
 the one place a flag is stated.  ``RANGES`` is the one place a numeric
 flag's accepted range is stated: ``run`` checks it before the command reads
 any file, and it is the flag's ``--help`` text.
+
+Every subcommand uses ``core``, ``dataio``, ``errors`` and ``report``, which
+load with this module.  ``IMPORTS`` names what each subcommand takes from the
+other layers; ``run`` loads the running subcommand's names, through this
+module's ``__getattr__``, just before it calls the subcommand, so
+``normalize`` never loads ``decode``.  For every name of ``IMPORTS``,
+``getattr(polyeval.cli, name)`` is the layer's own object: that is how
+``bench/tracing.py`` finds the names to wrap in this namespace, and ``run``
+keeps a name that is already set.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import sys
 from collections import Counter
 
@@ -38,27 +47,36 @@ from .dataio import (
     validate_raw_record,
     write_files,
 )
-from .decode import (
-    BeamConfig,
-    diverse_beam_search,
-    load_ngram_lm,
-    pack_runs,
-    sample_many,
-)
-from .diversity import bcubed, cluster_greedy, diversity_report, ngram_uniqueness
 from .errors import PolyevalError, ValidationError
 from .report import render_report
-from .scoring import corpus_score
-from .stats import (
-    LABEL_SETS,
-    binarize,
-    chi_square_proportions,
-    cohen_kappa,
-    gwet_ac1,
-    paired_t_bonferroni,
-    resolve_and_repeat,
-)
-from .textmetrics import load_external_scores, make_metric
+
+# by subcommand, the layers it uses beyond those above and the names it
+# takes from each
+IMPORTS = {
+    "eval": {"scoring": ("corpus_score",),
+             "textmetrics": ("load_external_scores", "make_metric")},
+    "diversity": {"diversity": ("bcubed", "cluster_greedy", "diversity_report")},
+    "datastats": {"diversity": ("ngram_uniqueness",)},
+    "stats agree": {"stats": ("LABEL_SETS", "binarize", "cohen_kappa", "gwet_ac1")},
+    "stats mcnemar": {"stats": ("LABEL_SETS", "binarize", "resolve_and_repeat")},
+    "stats prop": {"stats": ("chi_square_proportions",)},
+    "stats ttest": {"stats": ("paired_t_bonferroni",)},
+    "decode": {"decode": ("BeamConfig", "diverse_beam_search", "load_ngram_lm",
+                          "pack_runs", "sample_many")},
+}
+_LAYER_OF = {name: layer for layers in IMPORTS.values()
+             for layer, names in layers.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A name of ``IMPORTS``, imported from its layer on first use and kept
+    in this module's globals (PEP 562)."""
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    layer = importlib.import_module(f".{_LAYER_OF[name]}", __package__)
+    value = globals()[name] = getattr(layer, name)
+    return value
+
 
 BLEU_NOTES = (
     "sentence-level; lowercased whitespace tokens; n=1..4 uniform weights; "
@@ -68,6 +86,8 @@ BLEU_NOTES = (
 
 
 def _stable_salt(example_id: str) -> int:
+    import hashlib
+
     return int.from_bytes(hashlib.sha256(example_id.encode("utf-8")).digest()[:8], "big")
 
 
@@ -253,15 +273,14 @@ def _cmd_datastats(args) -> tuple:
 # --- stats ---------------------------------------------------------------------
 
 
-_ANNOTATION_VALUES = {"task": tuple(LABEL_SETS), "system": ("X", "Y"), "annotator": ("A", "B")}
-
-
 def _load_annotations(path: str) -> dict:
     """rows[(task, system)][item_id] -> {annotator: label}"""
+    values = {"task": tuple(LABEL_SETS), "system": ("X", "Y"), "annotator": ("A", "B")}
+
     def parse(record: dict) -> tuple:
         key = tuple(get_field(record, f, str) for f in ("task", "system", "item_id", "annotator"))
         label = get_field(record, "label", str)
-        for name, allowed in _ANNOTATION_VALUES.items():
+        for name, allowed in values.items():
             if record[name] not in allowed:
                 raise ValidationError(
                     f"{name} must be {' or '.join(allowed)}, got {record[name]!r}")
@@ -646,6 +665,10 @@ def run(argv: list[str]) -> int:
             value = getattr(args, flag[2:].replace("-", "_"))
             if value is not None and not _inside(interval, value):
                 raise ValidationError(f"{flag} must be in {interval}, got {value}")
+        for names in IMPORTS.get(command, {}).values():
+            for name in names:
+                if name not in globals():  # a replaced name stays as it is
+                    __getattr__(name)
         body, warnings, outputs = args.func(args)
         report = {
             "tool": command.replace(" ", "."),

@@ -10,6 +10,7 @@ import enum
 import json
 import unicodedata
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -329,6 +330,33 @@ def validate_generation_set(raw: dict) -> tuple[GenerationSet, int]:
     if any(not isinstance(text, str) for run in runs for text in run):
         raise ValidationError("runs must hold only strings")
     return make_generation_set(example_id, get_field(raw, "mode", str), runs)
+
+
+def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
+                        example_id: str = "?") -> list[list[int]]:
+    """Check the partition property: disjoint, nonempty, covering."""
+    seen: set[int] = set()
+    out = []
+    for group in clusters:
+        if not group:
+            raise ValidationError(f"example {example_id!r}: empty cluster")
+        for idx in group:
+            if idx < 0 or idx >= n_outputs:
+                raise ValidationError(
+                    f"example {example_id!r}: cluster index {idx} out of range"
+                )
+            if idx in seen:
+                raise ValidationError(
+                    f"example {example_id!r}: output {idx} appears in two clusters"
+                )
+            seen.add(idx)
+        out.append(list(group))
+    if len(seen) != n_outputs:
+        raise ValidationError(
+            f"example {example_id!r}: clustering covers {len(seen)} of "
+            f"{n_outputs} outputs"
+        )
+    return out
 
 
 def dumps_canonical(obj) -> str:

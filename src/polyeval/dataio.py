@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import hashlib
 import json
 import os
 import random
@@ -112,7 +111,7 @@ def validate_raw_record(raw: dict, default_source: str = "generic") -> RawRecord
     utterances = []
     for entry in get_field(raw, "utterances", list, of=dict):
         name = normalize_text(get_field(entry, "speaker", str, ""))
-        text = normalize_text(get_field(entry, "text", str, ""))
+        text = normalize_text(get_field(entry, "text", str))
         if not text:
             raise ValidationError(f"example {example_id!r}: empty utterance text")
         utterances.append((name, text))
@@ -261,6 +260,8 @@ def accumulate_runs(
 
 def text_key(text: str) -> str:
     """SHA-256 hex key of the normalized UTF-8 text."""
+    import hashlib
+
     return hashlib.sha256(normalize_text(text).encode("utf-8")).hexdigest()
 
 

@@ -625,10 +625,10 @@ def load_ngram_lm(path: str | Path) -> NgramLM:
             context = tuple(get_field(row, "context", list, [], of=str))
             if context in table:
                 raise ValidationError(f"duplicate context {context!r}")
-            table[context] = get_field(row, "probs", dict, {}, of=NUMBER)
+            table[context] = get_field(row, "probs", dict, of=NUMBER)
         return NgramLM(
             order=get_field(config, "order", int, 1),
-            vocab=get_field(config, "vocab", list, [], of=str),
+            vocab=get_field(config, "vocab", list, of=str),
             table=table,
             end_token=get_field(config, "end_token", str, "</s>"),
         )

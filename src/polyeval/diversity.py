@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
 
-from .core import Example
+from .core import Example, validate_clustering
 from .dataio import EmbeddingStore
 from .errors import PolyevalError, ValidationError
-from .scoring import validate_clustering
 
 
 def cluster_greedy(

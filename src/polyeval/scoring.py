@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .assignment import solve_max
-from .core import Example, EvalConfig, GenerationMode, GenerationSet, InferenceType
+from .core import (
+    Example,
+    EvalConfig,
+    GenerationMode,
+    GenerationSet,
+    InferenceType,
+    validate_clustering,
+)
 from .errors import PolyevalError, ValidationError
 from .textmetrics import ExternalScoreSidecar, Metric, score_matrix
 
@@ -76,33 +83,6 @@ def top1_select(
     if selection == "maximum":
         return float(matrix.max())
     raise ValidationError(f"unknown selection {selection!r}")
-
-
-def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,
-                        example_id: str = "?") -> list[list[int]]:
-    """Check the partition property: disjoint, nonempty, covering."""
-    seen: set[int] = set()
-    out = []
-    for group in clusters:
-        if not group:
-            raise ValidationError(f"example {example_id!r}: empty cluster")
-        for idx in group:
-            if idx < 0 or idx >= n_outputs:
-                raise ValidationError(
-                    f"example {example_id!r}: cluster index {idx} out of range"
-                )
-            if idx in seen:
-                raise ValidationError(
-                    f"example {example_id!r}: output {idx} appears in two clusters"
-                )
-            seen.add(idx)
-        out.append(list(group))
-    if len(seen) != n_outputs:
-        raise ValidationError(
-            f"example {example_id!r}: clustering covers {len(seen)} of "
-            f"{n_outputs} outputs"
-        )
-    return out
 
 
 def polyagg(

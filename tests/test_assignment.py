@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,36 @@ def test_unique_exactly_when_one_assignment_reaches_the_optimum(m, n, data):
     totals = [total for total, _ in assignments(a)]
     best = max(totals)
     assert solve_max(a).unique == (sum(t >= best - 1e-9 for t in totals) == 1)
+
+
+def boundary_oracle(matrix):
+    """Exhaustive oracle for the tie contract at its boundary: the
+    lexicographically smallest row-sorted pair list among assignments whose
+    exact total reaches the exact total of the solver's pairs minus 1e-9,
+    and whether it is the only one."""
+    from scipy.optimize import linear_sum_assignment
+
+    def exact(pairs):
+        return math.fsum(matrix[r, c] for r, c in pairs)
+
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    threshold = exact(zip(rows.tolist(), cols.tolist())) - 1e-9
+    ties = sorted(pairs for _, pairs in assignments(matrix) if exact(pairs) >= threshold)
+    return ties[0], len(ties) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6))
+def test_matches_brute_force_at_the_tie_boundary(data, m, n):
+    # 0.25, 0.5 or 0.75 plus 0 to 4 steps of 5e-10: unlike tie_dense_matrix,
+    # many totals lie exactly 1e-9 below the optimum, where float rounding
+    # decides whether an assignment is a tie
+    base = data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]),
+                              min_size=m * n, max_size=m * n))
+    steps = data.draw(st.lists(st.integers(0, 4), min_size=m * n, max_size=m * n))
+    a = (np.array(base) + np.array(steps) * 5e-10).reshape(m, n)
+    res = solve_max(a)
+    assert (res.pairs, res.unique) == boundary_oracle(a)
 
 
 def test_tie_break_prefers_lexicographically_smallest():

@@ -319,6 +319,24 @@ def test_eval_external_scores_missing_an_example_fails_cleanly(workdir, capsys):
     assert not (workdir / "r.json").exists()
 
 
+def test_eval_external_scores_at_the_tie_boundary(workdir, capsys):
+    # one assignment totals 1e-9 below the optimum up to rounding, where the
+    # tie-break used to end in an AssertionError traceback
+    make_examples(workdir / "u.jsonl", n=1, refs=("r0", "r1", "r2", "r3"))
+    make_generations(workdir / "g.jsonl", n=1, runs=(("a", "b", "c", "d"),))
+    scores = [[0.5000000005, 1.0, 1e-09, 1.0000000005],
+              [5e-10, 0.5000000005, 0.500000002, 0.5],
+              [0.500000001, 1.0, 1.0, 0.500000002],
+              [0.5000000005, 0.5, 1.000000002, 2e-09]]
+    write_jsonl(workdir / "x.jsonl", [{"example_id": "e0", "scores": scores}])
+    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                "--metric", "external", "--external-scores", "x.jsonl",
+                "--topk", "9", "--report", "r.json"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["overall"] == pytest.approx(0.75, abs=1e-8)
+
+
 @pytest.mark.parametrize("topk", ["1", "5"])
 def test_eval_with_no_examples_fails_cleanly(workdir, capsys, topk):
     (workdir / "u.jsonl").write_text("")
@@ -1124,12 +1142,15 @@ def test_cross_flag_errors_come_before_any_file_is_read(workdir, capsys, argv, e
     (lambda lm: lm["cond"][0].update(probs={}), "context () has an empty distribution"),
     (lambda lm: lm["cond"][0]["probs"].update(them=0.0),
      "unknown token 'them' in distribution"),
+    (lambda lm: lm.__delitem__("vocab"), "missing field 'vocab'"),
+    (lambda lm: lm["cond"][0].__delitem__("probs"), "missing field 'probs'"),
 ], ids=["order_string", "order_float", "order_bool", "vocab_string", "vocab_number",
         "end_token_number", "cond_object", "cond_number", "context_string",
         "context_number", "probs_list", "prob_string", "prob_bool", "prob_null",
         "not_an_object", "malformed_json", "duplicate_context", "order_0",
         "end_token_not_in_vocab", "duplicate_vocab", "context_unknown_token",
-        "empty_distribution", "distribution_unknown_token"])
+        "empty_distribution", "distribution_unknown_token", "vocab_absent",
+        "probs_absent"])
 def test_decode_rejects_lm_field_of_wrong_type(workdir, capsys, edit, message):
     lm = json.loads((GOLDEN / "toy_mono.lm.json").read_text())
     (workdir / "lm.json").write_text(edit(lm) or json.dumps(lm))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polyeval
+from polyeval.dataio import write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(polyeval.__file__).resolve().parent.parent
@@ -38,13 +39,24 @@ def test_import_loads_no_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+def test_import_loads_no_layer(tmp_path):
+    # the package resolves a public name or a submodule on first use
+    code = ("import sys, polyeval; print(sorted(m for m in sys.modules if 'polyeval.' in m)); "
+            "print(polyeval.decode.__name__, polyeval.polyagg.__module__)")
+    result = run_python(["-c", code], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\npolyeval.decode polyeval.scoring\n"
+
+
 # runs ``python -m polyeval ARGS`` and, at exit, prints which heavy modules
-# the command loaded
+# and which polyeval layers the command loaded
 HEAVY_PROBE = """
 import atexit, runpy, sys
 HEAVY = ("numpy", "scipy.optimize", "scipy.optimize._lsap", "scipy.special")
-atexit.register(lambda: print("loaded:", [m for m in HEAVY if m in sys.modules],
-                              file=sys.stderr))
+atexit.register(lambda: print(
+    "loaded:", [m for m in HEAVY if m in sys.modules],
+    "layers:", sorted(m[9:] for m in sys.modules if m.startswith("polyeval.")
+                      and not m.startswith("polyeval._")), file=sys.stderr))
 sys.argv[0] = "polyeval"
 runpy.run_module("polyeval", run_name="__main__", alter_sys=True)
 """
@@ -52,35 +64,51 @@ LM, EXAMPLES, DBS = (str(GOLDEN / name) for name in
                      ("toy_mono.lm.json", "unified.jsonl", "g_dbs.jsonl"))
 DECODE = ["decode", "--lm", LM, "--examples", EXAMPLES, "--beams", "10", "--max-len", "8",
           "--out", "g.jsonl"]
+# the layers every command loads before it dispatches, --version included
+STARTUP = ["cli", "core", "dataio", "errors", "report"]
+EVAL_LAYERS = ["assignment", "scoring", "textmetrics"]
+ANNOTATIONS = [
+    {"task": "reasonability", "system": system, "item_id": f"i{i}", "annotator": annotator,
+     "label": "always_likely" if (i + (annotator == "B")) % 3 else "never_farfetched"}
+    for system in ("X", "Y") for i in range(6) for annotator in ("A", "B")
+]
+SCORES = [{"name": name, "values": [1.0, 2.0 + i, 4.0 * i]}
+          for i, name in enumerate(("m1", "m2", "m3"))]
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["--version"], []),
+@pytest.mark.parametrize("argv, loaded, layers", [
+    (["--version"], [], []),
     (["normalize", "--in", str(GOLDEN / "raw_corpus.jsonl"), "--source", "generic",
-      "--out", "u.jsonl"], []),
-    (["datastats", "--examples", EXAMPLES], []),
-    (DECODE + ["--strategy", "beam"], []),
-    (DECODE + ["--strategy", "dbs", "--groups", "10", "--penalty", "0.5"], []),
-    (DECODE + ["--strategy", "poly", "--poly-from-beams"], []),
+      "--out", "u.jsonl"], [], []),
+    (["datastats", "--examples", EXAMPLES], [], ["diversity"]),
+    (DECODE + ["--strategy", "beam"], [], ["decode"]),
+    (DECODE + ["--strategy", "dbs", "--groups", "10", "--penalty", "0.5"], [], ["decode"]),
+    (DECODE + ["--strategy", "poly", "--poly-from-beams"], [], ["decode"]),
     (["diversity", "--generations", DBS, "--topk", "5",
-      "--gold-clusters", str(GOLDEN / "clusters.jsonl")], []),
-    (DECODE + ["--strategy", "poly"], ["numpy"]),
+      "--gold-clusters", str(GOLDEN / "clusters.jsonl")], [], ["diversity"]),
+    (DECODE + ["--strategy", "poly"], ["numpy"], ["decode"]),
     (["diversity", "--generations", DBS, "--topk", "5",
-      "--embeddings", str(GOLDEN / "embeddings.jsonl")], ["numpy"]),
+      "--embeddings", str(GOLDEN / "embeddings.jsonl")], ["numpy"], ["diversity"]),
     (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
-      "--topk", "1"], ["numpy"]),
+      "--topk", "1"], ["numpy"], EVAL_LAYERS),
     (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
-      "--topk", "3"], ["numpy", "scipy.optimize._lsap"]),
+      "--topk", "3"], ["numpy", "scipy.optimize._lsap"], EVAL_LAYERS),
+    (["stats", "agree", "--in", "ann.jsonl"], [], ["stats"]),
+    (["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "3"],
+     ["numpy", "scipy.special"], ["stats"]),
     (["stats", "prop", "--successes", "93,75", "--trials", "100,100"],
-     ["numpy", "scipy.special"]),
+     ["numpy", "scipy.special"], ["stats"]),
+    (["stats", "ttest", "--scores", "s.jsonl"], ["numpy", "scipy.special"], ["stats"]),
 ], ids=["version", "normalize", "datastats", "decode_beam", "decode_dbs",
         "decode_poly_from_beams", "diversity_gold_clusters", "decode_poly",
-        "diversity_embeddings", "eval_top1", "eval_topk", "stats_prop"])
-def test_each_command_loads_only_the_heavy_modules_it_uses(tmp_path, argv, loaded):
+        "diversity_embeddings", "eval_top1", "eval_topk", "stats_agree", "stats_mcnemar",
+        "stats_prop", "stats_ttest"])
+def test_each_command_loads_only_the_heavy_modules_it_uses(tmp_path, argv, loaded, layers):
+    write_jsonl(tmp_path / "ann.jsonl", ANNOTATIONS)
+    write_jsonl(tmp_path / "s.jsonl", SCORES)
     result = run_python(["-c", HEAVY_PROBE, *argv], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stderr == f"loaded: {loaded}\n"
-
+    assert result.stderr == f"loaded: {loaded} layers: {sorted(STARTUP + layers)}\n"
 
 
 # an eval top-k report, the scipy.optimize modules loaded after it, and the

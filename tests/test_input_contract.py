@@ -213,6 +213,8 @@ INVALID_VALUES = {
                        "example 'r1': unknown source 'forum'"),
     "empty_utterance_text": ("raw_records", lambda r: r[1]["utterances"][0].update(text=" "),
                              2, "example 'r1': empty utterance text"),
+    "utterance_without_text": ("raw_records", lambda r: r[1]["utterances"][0].pop("text"),
+                               2, "missing field 'text'"),
     "named_and_unnamed_utterances": (
         "raw_records", lambda r: r[1]["utterances"][0].update(speaker=""), 2,
         "example 'r1': mix of named and unnamed utterances"),
