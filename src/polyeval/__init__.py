@@ -20,9 +20,9 @@ _EXPORTS = {
     for module, names in {
         "assignment": ("Assignment", "solve_max"),
         "core": (
-            "CONVOSENSE_CORE", "EvalConfig", "Example", "GenerationMode", "GenerationSet",
-            "InferenceType", "Turn", "example_to_record", "make_generation_set",
-            "normalize_text", "validate_example", "validate_generation_set",
+            "EvalConfig", "Example", "GenerationMode", "GenerationSet", "InferenceType",
+            "Turn", "example_to_record", "make_generation_set", "normalize_text",
+            "validate_example", "validate_generation_set",
         ),
         "dataio": (
             "EmbeddingStore", "RawRecord", "TYPE_SYNTHESIS", "accumulate_runs",

@@ -8,7 +8,8 @@ returns only its body, warnings and outputs; ``run`` assembles the report,
 and its ``config`` is every parsed flag but ``--report``, so the parser is
 the one place a flag is stated.  ``RANGES`` is the one place a numeric
 flag's accepted range is stated: ``run`` checks it before the command reads
-any file, and it is the flag's ``--help`` text.
+any file, and it is the flag's ``--help`` text.  ``core.FORMATS`` states
+each input file's format, shown by the ``--help`` of each subcommand.
 
 Every subcommand uses ``core``, ``dataio``, ``errors`` and ``report``, which
 load with this module.  ``IMPORTS`` names what each subcommand takes from the
@@ -28,10 +29,12 @@ from collections import Counter
 
 from . import __version__
 from .core import (
+    FORMATS,
     EvalConfig,
     GenerationMode,
+    check_shape,
+    describe,
     example_to_record,
-    get_field,
     validate_example,
     validate_generation_set,
 )
@@ -275,18 +278,12 @@ def _cmd_datastats(args) -> tuple:
 
 def _load_annotations(path: str) -> dict:
     """rows[(task, system)][item_id] -> {annotator: label}"""
-    values = {"task": tuple(LABEL_SETS), "system": ("X", "Y"), "annotator": ("A", "B")}
-
     def parse(record: dict) -> tuple:
-        key = tuple(get_field(record, f, str) for f in ("task", "system", "item_id", "annotator"))
-        label = get_field(record, "label", str)
-        for name, allowed in values.items():
-            if record[name] not in allowed:
-                raise ValidationError(
-                    f"{name} must be {' or '.join(allowed)}, got {record[name]!r}")
-        if label not in LABEL_SETS[key[0]]:
-            raise ValidationError(f"label {label!r} is not a {key[0]} label")
-        return key, label
+        check_shape(record, FORMATS["annotations"])
+        task, label = record["task"], record["label"]
+        if label not in LABEL_SETS[task]:
+            raise ValidationError(f"label {label!r} is not a {task} label")
+        return (task, record["system"], record["item_id"], record["annotator"]), label
 
     labels = load_keyed(path, parse, "annotation")
     if not labels:
@@ -383,7 +380,8 @@ def _cmd_stats_prop(args) -> tuple:
 
 def _cmd_stats_ttest(args) -> tuple:
     def parse(record: dict) -> tuple:
-        return get_field(record, "name", str), float_array(record, "values", 1)
+        check_shape(record, FORMATS["ttest_scores"])
+        return record["name"], float_array(record["values"], "values")
 
     vectors = load_keyed(args.scores, parse, "name")
     results = paired_t_bonferroni(vectors, m=args.m)
@@ -507,6 +505,15 @@ def _maximum(name: str) -> str:
     return "maximum" if name == "max" else name
 
 
+def _file(parser: argparse.ArgumentParser, flag: str, fmt: str, help: str,
+          **kwargs) -> None:
+    """Add a file flag of the ``FORMATS`` format ``fmt``, shown by --help."""
+    parser.add_argument(flag, help=help, **kwargs)
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
+    parser.epilog = (f"{parser.epilog or 'input formats:'}\n  {flag} ({fmt}):\n"
+                     f"{describe(FORMATS[fmt])}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyeval",
@@ -515,84 +522,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    examples = "unified examples (JSONL)"
+    generations = ("generation sets (JSONL); mode is one of "
+                   + ", ".join(m.value for m in GenerationMode))
+    embeddings = ("text vectors (JSONL); a row gives its key, the sha256 hex of "
+                  "the normalized text, or the text itself, not both")
 
-    p = sub.add_parser(
-        "normalize",
-        help="convert raw source records to the unified example format",
-        description=(
-            "Raw JSONL: {example_id, source?, utterances: [{speaker, text}], "
-            "type_label, inferences: [...]}. Output JSONL: {example_id, "
-            "dialogue: [{speaker, text}], type, question, answer_prefix, "
-            "references}."
-        ),
-    )
-    p.add_argument("--in", dest="infile", required=True, help="raw records (JSONL)")
+    p = sub.add_parser("normalize",
+                       help="convert raw source records to the unified example format")
+    _file(p, "--in", "raw_records", "raw records (JSONL); a record without source "
+          "takes --source, and an utterance without speaker is unnamed",
+          dest="infile", required=True)
     p.add_argument("--source", required=True, choices=RAW_SOURCES)
-    p.add_argument("--out", required=True, help="unified examples (JSONL)")
+    p.add_argument("--out", required=True, help="unified examples (JSONL): the "
+                   "examples format, with each type's question and answer_prefix")
     _number(p, "--seed", int, 0, "seed for A/B tag assignment")
     p.add_argument("--report", default=None, help="report path (default: stdout)")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser(
-        "eval",
-        help="score generations against reference sets",
-        description=(
-            "Generations JSONL: {example_id, mode, runs: [[...], ...]}. "
-            "External scores JSONL: {example_id, scores: [[...], ...]} "
-            "(outputs x references, row-major). Clusters JSONL: {example_id, "
-            "clusters: [[output_index, ...], ...]}."
-        ),
-    )
-    p.add_argument("--examples", required=True)
-    p.add_argument("--generations", required=True)
+    p = sub.add_parser("eval", help="score generations against reference sets")
+    _file(p, "--examples", "examples", examples, required=True)
+    _file(p, "--generations", "generations", generations, required=True)
     p.add_argument("--metric", default="bleu", choices=("bleu", "embed", "external"))
     _number(p, "--topk", int, 1)
     p.add_argument("--selection", default="maximum", type=_maximum,
                    choices=("maximum", "order"), help="max is short for maximum")
     p.add_argument("--matching", default="bipartite", type=_maximum,
                    choices=("bipartite", "maximum"), help="max is short for maximum")
-    p.add_argument("--clusters", default=None, help="cluster-constrained evaluation")
+    _file(p, "--clusters", "clusters", "cluster-constrained evaluation: clusters of "
+          "each example's outputs, by output index from 0 (JSONL)", default=None)
     p.add_argument("--no-coverage-cap", dest="coverage_cap", action="store_false")
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--external-scores", default=None)
+    _file(p, "--embeddings", "embeddings", embeddings, default=None)
+    _file(p, "--external-scores", "external_scores", "score matrices (JSONL): one "
+          "row per output, one column per reference", default=None)
     _number(p, "--seed", int, 0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("diversity", help="cluster outputs and measure diversity")
-    p.add_argument("--generations", required=True)
-    p.add_argument("--embeddings", default=None)
+    _file(p, "--generations", "generations", generations, required=True)
+    _file(p, "--embeddings", "embeddings", embeddings, default=None)
     _number(p, "--tau", float, 0.8)
     _number(p, "--topk", int, 0, "truncate outputs (0 = all)")
-    p.add_argument("--gold-clusters", default=None)
-    p.add_argument("--out-clusters", default=None, help="write predicted clusters")
+    _file(p, "--gold-clusters", "clusters", "gold clusters of each example's "
+          "outputs, by output index from 0 (JSONL)", default=None)
+    p.add_argument("--out-clusters", default=None,
+                   help="write predicted clusters (JSONL, the clusters format)")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_diversity)
 
     p = sub.add_parser("datastats", help="corpus n-gram uniqueness statistics")
-    p.add_argument("--examples", required=True)
+    _file(p, "--examples", "examples", examples, required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_datastats)
 
-    p = sub.add_parser(
-        "stats",
-        help="annotation agreement and significance tests",
-        description=(
-            "Annotations JSONL: {item_id, task: reasonability|novelty, "
-            "system: X|Y, annotator: A|B, label}."
-        ),
-    )
+    p = sub.add_parser("stats", help="annotation agreement and significance tests")
     stats_sub = p.add_subparsers(dest="stats_command", required=True)
+    annotations = ("annotations (JSONL), one label per item, system and annotator; "
+                   "README lists each task's labels")
 
     q = stats_sub.add_parser("agree", help="Gwet AC1 and Cohen's kappa per task")
-    q.add_argument("--in", dest="infile", required=True)
+    _file(q, "--in", "annotations", annotations, dest="infile", required=True)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_agree)
 
     q = stats_sub.add_parser(
         "mcnemar", help="matched-pairs test with random disagreement resolution"
     )
-    q.add_argument("--in", dest="infile", required=True)
+    _file(q, "--in", "annotations", annotations, dest="infile", required=True)
     _number(q, "--repeats", int, 100)
     _number(q, "--seed", int, 0)
     _number(q, "--alpha", float, 0.05)
@@ -609,24 +606,17 @@ def build_parser() -> argparse.ArgumentParser:
     q = stats_sub.add_parser(
         "ttest", help="Bonferroni-corrected paired t-tests over score vectors"
     )
-    q.add_argument(
-        "--scores", required=True, help="JSONL rows {name, values: [...]}"
-    )
+    _file(q, "--scores", "ttest_scores", "score vectors (JSONL), one per system", required=True)
     _number(q, "--m", int, None, "comparisons (default: #pairs)")
     _number(q, "--alpha", float, 0.05)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_ttest)
 
-    p = sub.add_parser(
-        "decode",
-        help="generate outputs from a toy LM config",
-        description=(
-            "LM config JSON: {order, vocab, end_token, cond: [{context: "
-            "[...], probs: {token: p}}, ...]}."
-        ),
-    )
-    p.add_argument("--lm", required=True)
-    p.add_argument("--examples", required=True)
+    p = sub.add_parser("decode", help="generate outputs from a toy LM config")
+    _file(p, "--lm", "lm", "toy LM config, one JSON object; a cond row gives the "
+          "next-token probabilities after its context, the last order-1 tokens",
+          required=True)
+    _file(p, "--examples", "examples", examples, required=True)
     p.add_argument("--strategy", required=True, choices=("beam", "dbs", "poly"))
     _number(p, "--beams", int, 10)
     _number(p, "--groups", int, 10)

@@ -10,7 +10,7 @@ import enum
 import json
 import unicodedata
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -115,23 +115,6 @@ INFERENCE_PROMPTS: dict[InferenceType, tuple[str, str]] = {
     ),
 }
 
-# The ten types that make up the core multi-inference corpus.
-CONVOSENSE_CORE = frozenset(
-    {
-        InferenceType.SUBSEQUENT,
-        InferenceType.CAUSE,
-        InferenceType.PREREQUISITE,
-        InferenceType.MOTIVATION,
-        InferenceType.ATTRIBUTE,
-        InferenceType.REACTION,
-        InferenceType.REACTION_O,
-        InferenceType.DESIRE,
-        InferenceType.DESIRE_O,
-        InferenceType.CONSTITUENTS,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Turn:
     speaker_tag: str
@@ -147,19 +130,12 @@ class GenerationMode(str, enum.Enum):
 @dataclass(frozen=True)
 class Example:
     """One evaluation unit: a dialogue, an inference question, and references.
-
-    The inference target is always the final turn, so ``target_index`` is
-    derived rather than stored.
-    """
+    The inference target is always the final turn."""
 
     example_id: str
     dialogue: tuple[Turn, ...]
     inference_type: InferenceType
     references: tuple[str, ...]
-
-    @property
-    def target_index(self) -> int:
-        return len(self.dialogue) - 1
 
 
 @dataclass(frozen=True)
@@ -193,35 +169,122 @@ class EvalConfig:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
-NUMBER = (int, float)
-_JSON_NAMES = {
-    str: "string", list: "list", dict: "object", int: "integer", NUMBER: "number",
+# --- input formats ----------------------------------------------------------
+
+REQUIRED = object()  # the default of a field that must be present
+
+
+class Field(NamedTuple):
+    """One field of an input format: its JSON kind; the kind of each item
+    of a list or value of an object (a Field for a list of lists, a dict of
+    Fields for a list of rows); the strings it may hold; and its default:
+    REQUIRED, the value an absent field takes, or None where its reader
+    gives absence a meaning.  ``wrong`` is the message for an inner list's
+    item, as JSON, that is not of the inner kind."""
+
+    kind: str
+    item: str | Field | dict | None = None
+    choices: tuple[str, ...] = ()
+    default: object = REQUIRED
+    wrong: str = ""
+
+
+# the Python types json.load gives each kind; a JSON true is a bool, not a number
+_TYPES = {"string": {str}, "integer": {int}, "number": {int, float}, "list": {list},
+          "object": {dict}, "nonempty 1-D array": {list}, "nonempty 2-D array": {list}}
+STRING, STRINGS = Field("string"), Field("list", "string")
+
+# Every input format.  ``check_shape`` checks a record against its format before any
+# semantic check, and --help shows it.  A field a format does not name is ignored.
+FORMATS: dict[str, dict[str, Field]] = {
+    "examples": {"example_id": STRING, "type": STRING,
+                 "dialogue": Field("list", {"speaker": STRING, "text": STRING}),
+                 "references": STRINGS},
+    "generations": {"example_id": STRING, "mode": STRING, "runs": Field(
+        "list", Field("list", "string", wrong="runs must hold only strings"))},
+    "embeddings": {"key": Field("string", default=None), "text": Field("string", default=None),
+                   "vector": Field("nonempty 1-D array", "number")},
+    "clusters": {"example_id": STRING, "clusters": Field(
+        "list", Field("list", "integer", wrong="cluster index {} is not an integer"))},
+    "external_scores": {"example_id": STRING, "scores": Field("nonempty 2-D array", "number")},
+    "raw_records": {"example_id": STRING, "source": Field("string", default=None),
+                    "utterances": Field("list", {"speaker": Field("string", default=""),
+                                                 "text": STRING}),
+                    "type_label": STRING, "inferences": STRINGS},
+    "annotations": {"task": Field("string", choices=("reasonability", "novelty")),
+                    "system": Field("string", choices=("X", "Y")), "item_id": STRING,
+                    "annotator": Field("string", choices=("A", "B")), "label": STRING},
+    "ttest_scores": {"name": STRING, "values": Field("nonempty 1-D array", "number")},
+    "lm": {"order": Field("integer", default=1), "vocab": STRINGS,
+           "end_token": Field("string", default="</s>"),
+           "cond": Field("list", {"context": STRINGS, "probs": Field("object", "number")},
+                         default=())},
 }
 
 
-def _is(value, kind) -> bool:
-    """``isinstance``, except that JSON true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _kind_name(field: Field) -> str:
+    """The field's kind with its item kind, such as "list of strings"."""
+    item = "object" if isinstance(field.item, dict) else getattr(field.item, "kind", field.item)
+    return f"{field.kind} of {item}s" if item else field.kind
 
 
-def get_field(raw: dict, name: str, kind: type, default=None, of: type | None = None):
-    """``raw[name]``, or ``default`` when it is absent.  Either must be a
-    ``kind`` (``str``, ``list``, ``dict``, ``int`` or ``NUMBER``); with ``of``,
-    a list whose every item, or an object whose every value, is an ``of``."""
-    value = raw.get(name, default)
-    items = value.values() if isinstance(value, dict) else value
-    if not _is(value, kind) or (of and not all(_is(v, of) for v in items)):
-        if name not in raw:
-            raise ValidationError(f"missing field {name!r}")
-        noun = _JSON_NAMES[kind] + (f" of {_JSON_NAMES[of]}s" if of else "")
-        article = "an" if noun[0] in "aeiou" else "a"
-        raise ValidationError(f"{name} must be {article} {noun}")
-    return value
+def check_shape(record: dict, fields: dict[str, Field]) -> dict:
+    """Check a decoded record against a format of ``FORMATS``, or a row format
+    in one, field by field: a required field is present, and a field present
+    is of its kind, its items of the item kind and its value one of the
+    choices.  Returns the record, copied with the defaults of absent fields."""
+    for name, (kind, item, choices, default, _) in fields.items():
+        if name not in record:
+            if default is REQUIRED:
+                raise ValidationError(f"missing field {name!r}")
+            if default is not None:
+                record = {**record, name: default}
+            continue
+        value = record[name]
+        fits = type(value) in _TYPES[kind] and bool(value or not kind.startswith("nonempty"))
+        if fits and kind == "nonempty 2-D array":
+            fits = all(type(row) is list and row and len(row) == len(value[0])
+                       and set(map(type, row)) <= _TYPES[item] for row in value)
+        elif fits and type(item) is str:
+            fits = set(map(type, value.values() if kind == "object" else value)) <= _TYPES[item]
+        elif fits and item is not None:  # a list of lists, or of rows
+            fits = set(map(type, value)) <= _TYPES["list" if type(item) is Field else "object"]
+        if not fits:
+            noun = _kind_name(fields[name])
+            raise ValidationError(f"{name} must be {'an' if noun[0] in 'aeiou' else 'a'} {noun}")
+        if type(item) is Field:
+            allowed = _TYPES[item.item]
+            for inner in value:
+                if not set(map(type, inner)) <= allowed:
+                    bad = next(v for v in inner if type(v) not in allowed)
+                    raise ValidationError(item.wrong.format(json.dumps(bad)))
+        elif type(item) is dict:
+            rows = [check_shape(row, item) for row in value]
+            if rows != value:  # a row took a default
+                record = {**record, name: rows}
+        if choices and value not in choices:
+            raise ValidationError(f"{name} must be {' or '.join(choices)}, got {value!r}")
+    return record
+
+
+def describe(fields: dict[str, Field], indent: str = "    ") -> str:
+    """The fields as --help shows them, a line each and a list's rows below
+    it: "speaker: string, required"."""
+    lines = []
+    for name, field in fields.items():
+        inner = f" of {field.item.item}s" if isinstance(field.item, Field) else ""
+        choices = f" ({' | '.join(field.choices)})" if field.choices else ""
+        default = ("required" if field.default is REQUIRED else "optional"
+                   if field.default is None else f"default {json.dumps(field.default)}")
+        lines.append(f"{indent}{name}: {_kind_name(field)}{inner}{choices}, {default}")
+        if isinstance(field.item, dict):
+            lines.append(describe(field.item, indent + "  "))
+    return "\n".join(lines)
 
 
 def example_id_of(raw: dict) -> str:
-    """The record's nonblank ``example_id``, trimmed."""
-    example_id = get_field(raw, "example_id", str).strip()
+    """The trimmed, nonblank ``example_id`` of a record ``check_shape`` passed."""
+    example_id = raw["example_id"].strip()
     if not example_id:
         raise ValidationError("example_id is blank")
     return example_id
@@ -233,8 +296,9 @@ def validate_example(raw: dict) -> Example:
     Applies whitespace normalization to every text and enforces the model
     invariants: nonempty references, alternating speaker tags, known type.
     """
+    check_shape(raw, FORMATS["examples"])
     example_id = example_id_of(raw)
-    type_name = get_field(raw, "type", str)
+    type_name = raw["type"]
     try:
         itype = InferenceType(type_name)
     except ValueError:
@@ -243,9 +307,9 @@ def validate_example(raw: dict) -> Example:
         ) from None
 
     turns = []
-    for entry in get_field(raw, "dialogue", list, of=dict):
-        tag = normalize_text(get_field(entry, "speaker", str))
-        text = normalize_text(get_field(entry, "text", str))
+    for entry in raw["dialogue"]:
+        tag = normalize_text(entry["speaker"])
+        text = normalize_text(entry["text"])
         if not tag:
             raise ValidationError(f"example {example_id!r}: empty speaker tag")
         if not text:
@@ -260,7 +324,7 @@ def validate_example(raw: dict) -> Example:
                 f"{cur.speaker_tag!r}"
             )
 
-    references = tuple(normalize_text(r) for r in get_field(raw, "references", list, of=str))
+    references = tuple(normalize_text(r) for r in raw["references"])
     if not references or any(not r for r in references):
         raise ValidationError(
             f"example {example_id!r}: references must be nonempty"
@@ -325,11 +389,8 @@ def make_generation_set(
 
 def validate_generation_set(raw: dict) -> tuple[GenerationSet, int]:
     """Build a GenerationSet from a decoded generations-file record."""
-    example_id = example_id_of(raw)
-    runs = get_field(raw, "runs", list, of=list)
-    if any(not isinstance(text, str) for run in runs for text in run):
-        raise ValidationError("runs must hold only strings")
-    return make_generation_set(example_id, get_field(raw, "mode", str), runs)
+    check_shape(raw, FORMATS["generations"])
+    return make_generation_set(example_id_of(raw), raw["mode"], raw["runs"])
 
 
 def validate_clustering(clusters: Sequence[Sequence[int]], n_outputs: int,

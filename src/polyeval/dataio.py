@@ -1,4 +1,4 @@
-"""File formats and the normalization pipeline.
+"""File input and output, and the normalization pipeline.
 
 Converts heterogeneous source records into the unified example format:
 consecutive same-speaker utterances are merged, Speaker/Listener tags are
@@ -6,20 +6,11 @@ assigned backwards from the terminal utterance, participant names are folded
 into the tags as "Speaker (A)", and participant names inside inference texts
 are replaced by "the speaker".
 
-File formats (all JSONL, one record per line):
-  examples:    {"example_id", "dialogue": [{"speaker", "text"}], "type",
-                "question", "answer_prefix", "references": [...]}
-  generations: {"example_id", "mode", "runs": [[...], ...]}
-  embeddings:  {"key": <sha256 hex>, "vector": [...]}  (or "text" instead of
-                "key"; the key is then computed at load)
-  clusters:    {"example_id", "clusters": [[output_index, ...], ...]}
-  raw records: {"example_id", "source", "utterances": [{"speaker", "text"}],
-                "type_label", "inferences": [...]}
-
-Every keyed JSONL input is read by ``load_keyed``, so a bad record (a
-field of the wrong shape, an invalid value or a repeated key) fails as
-``<path>:<line>: ...``.  Every output goes through ``write_files``, which
-writes all of a command's files or none of them.
+The input formats are stated once, in ``core.FORMATS``.  Every keyed JSONL
+input is read by ``load_keyed``, so a bad record (a field of the wrong
+shape, an invalid value or a repeated key) fails as ``<path>:<line>: ...``.
+Every output goes through ``write_files``, which writes all of a command's
+files or none of them.
 """
 from __future__ import annotations
 
@@ -42,8 +33,9 @@ from .core import (
     SPEAKER,
     Turn,
     dumps_canonical,
+    FORMATS,
+    check_shape,
     example_id_of,
-    get_field,
     normalize_text,
 )
 from .errors import PolyevalError, ValidationError
@@ -104,27 +96,22 @@ class RawRecord:
 
 
 def validate_raw_record(raw: dict, default_source: str = "generic") -> RawRecord:
+    """A raw source record; one without a source takes ``default_source``."""
+    raw = check_shape(raw, FORMATS["raw_records"])
     example_id = example_id_of(raw)
-    source = get_field(raw, "source", str, default_source)
+    source = raw.get("source", default_source)
     if source not in RAW_SOURCES:
         raise ValidationError(f"example {example_id!r}: unknown source {source!r}")
     utterances = []
-    for entry in get_field(raw, "utterances", list, of=dict):
-        name = normalize_text(get_field(entry, "speaker", str, ""))
-        text = normalize_text(get_field(entry, "text", str))
+    for entry in raw["utterances"]:
+        text = normalize_text(entry["text"])
         if not text:
             raise ValidationError(f"example {example_id!r}: empty utterance text")
-        utterances.append((name, text))
+        utterances.append((normalize_text(entry["speaker"]), text))
     if not utterances:
         raise ValidationError(f"example {example_id!r}: no utterances")
-    inferences = tuple(normalize_text(i) for i in get_field(raw, "inferences", list, of=str))
-    return RawRecord(
-        example_id,
-        source,
-        tuple(utterances),
-        get_field(raw, "type_label", str),
-        inferences,
-    )
+    inferences = tuple(normalize_text(i) for i in raw["inferences"])
+    return RawRecord(example_id, source, tuple(utterances), raw["type_label"], inferences)
 
 
 _TAGGED_NAME = re.compile(r"^(?:Speaker|Listener) \((.+)\)$")
@@ -304,13 +291,17 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
+    """Vectors by key: a row's ``key``, or the ``text_key`` of its ``text``."""
     dim = None
 
     def parse(record: dict) -> tuple[str, np.ndarray]:
         nonlocal dim
-        key = (get_field(record, "key", str) if "key" in record
-               else text_key(get_field(record, "text", str)))
-        vec = float_array(record, "vector", 1)
+        check_shape(record, FORMATS["embeddings"])
+        if ("key" in record) == ("text" in record):
+            raise ValidationError("give key or text, not both" if "key" in record
+                                  else "missing field 'text'")
+        key = record["key"] if "key" in record else text_key(record["text"])
+        vec = float_array(record["vector"], "vector")
         if vec.shape[0] < 2:
             raise ValidationError("vector must have d >= 2")
         dim = dim or vec.shape[0]
@@ -327,11 +318,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 def load_clusters(path: str | Path) -> dict[str, list[list[int]]]:
     """Load externally produced clusterings keyed by example_id."""
     def parse(record: dict) -> tuple[str, list[list[int]]]:
-        groups = get_field(record, "clusters", list, of=list)
-        for index in (i for g in groups for i in g):
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise ValidationError(f"cluster index {json.dumps(index)} is not an integer")
-        return example_id_of(record), groups
+        check_shape(record, FORMATS["clusters"])
+        return example_id_of(record), record["clusters"]
 
     return load_keyed(path, parse, "example")
 
@@ -380,24 +368,13 @@ def load_keyed(path: str | Path, parse: Callable[[dict], tuple], what: str) -> d
     return keyed
 
 
-def float_array(record: dict, name: str, ndim: int) -> np.ndarray:
-    """``record[name]`` as a read-only float array: a nonempty list (``ndim``
-    1) or list of equal-length lists (``ndim`` 2) of finite JSON numbers.
-    JSON true and false are not numbers.  The shape is checked on the JSON
-    value, so numpy never sees a ragged or mixed list."""
+def float_array(value: list, name: str) -> np.ndarray:
+    """A checked array field as a read-only float array, finite and in range."""
     import numpy as np
 
-    if name not in record:
-        raise ValidationError(f"missing field {name!r}")
-    value = record[name]
-    rows = value if ndim == 2 and isinstance(value, list) else [value]
-    wrong = ValidationError(f"{name} must be a nonempty {ndim}-D array of numbers")
-    if not (value and all(isinstance(row, list) and row and len(row) == len(rows[0])
-                          and set(map(type, row)) <= {int, float} for row in rows)):
-        raise wrong
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":  # an integer beyond 64 bits
-        raise wrong
+        raise ValidationError(f"{name} must be a nonempty {array.ndim}-D array of numbers")
     if not np.all(np.isfinite(array)):
         raise PolyevalError(f"{name} has NaN/Inf entries")
     array = array.astype(float)

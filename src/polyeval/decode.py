@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
-from .core import NUMBER, GenerationMode, GenerationSet, get_field, make_generation_set
+from .core import FORMATS, GenerationMode, GenerationSet, check_shape, make_generation_set
 from .errors import PolyevalError, ValidationError
 
 
@@ -609,9 +609,9 @@ class NgramLM:
 
 
 def load_ngram_lm(path: str | Path) -> NgramLM:
-    """Load a toy LM config: {"order", "vocab", "end_token", "cond": [
-    {"context": [...], "probs": {token: p}}, ...]}.  A field of the wrong
-    JSON type is rejected, never coerced, and every error names the file."""
+    """Load a toy LM config, one JSON object of the ``core.FORMATS["lm"]``
+    format.  A field of the wrong JSON type is rejected, never coerced, and
+    every error names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
@@ -620,17 +620,13 @@ def load_ngram_lm(path: str | Path) -> NgramLM:
     try:
         if not isinstance(config, dict):
             raise ValidationError("LM config must be a JSON object")
+        config = check_shape(config, FORMATS["lm"])
         table = {}
-        for row in get_field(config, "cond", list, [], of=dict):
-            context = tuple(get_field(row, "context", list, [], of=str))
+        for row in config["cond"]:
+            context = tuple(row["context"])
             if context in table:
                 raise ValidationError(f"duplicate context {context!r}")
-            table[context] = get_field(row, "probs", dict, of=NUMBER)
-        return NgramLM(
-            order=get_field(config, "order", int, 1),
-            vocab=get_field(config, "vocab", list, of=str),
-            table=table,
-            end_token=get_field(config, "end_token", str, "</s>"),
-        )
+            table[context] = row["probs"]
+        return NgramLM(config["order"], config["vocab"], table, config["end_token"])
     except PolyevalError as exc:
         raise type(exc)(f"{path}: {exc}") from None

@@ -35,7 +35,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import example_id_of, normalize_text
+from .core import FORMATS, check_shape, example_id_of, normalize_text
 from .dataio import EmbeddingStore, float_array, load_keyed
 from .errors import PolyevalError, ValidationError
 
@@ -275,6 +275,7 @@ class ExternalScoreSidecar:
 def load_external_scores(path: str | Path) -> ExternalScoreSidecar:
     """Score matrices keyed by example_id, rows outputs and columns references."""
     def parse(record: dict) -> tuple[str, np.ndarray]:
-        return example_id_of(record), float_array(record, "scores", 2)
+        check_shape(record, FORMATS["external_scores"])
+        return example_id_of(record), float_array(record["scores"], "scores")
 
     return ExternalScoreSidecar(load_keyed(path, parse, "example"))

@@ -1144,13 +1144,15 @@ def test_cross_flag_errors_come_before_any_file_is_read(workdir, capsys, argv, e
      "unknown token 'them' in distribution"),
     (lambda lm: lm.__delitem__("vocab"), "missing field 'vocab'"),
     (lambda lm: lm["cond"][0].__delitem__("probs"), "missing field 'probs'"),
+    # a row without context is not read as the start-of-sequence context
+    (lambda lm: lm["cond"][1].__delitem__("context"), "missing field 'context'"),
 ], ids=["order_string", "order_float", "order_bool", "vocab_string", "vocab_number",
         "end_token_number", "cond_object", "cond_number", "context_string",
         "context_number", "probs_list", "prob_string", "prob_bool", "prob_null",
         "not_an_object", "malformed_json", "duplicate_context", "order_0",
         "end_token_not_in_vocab", "duplicate_vocab", "context_unknown_token",
         "empty_distribution", "distribution_unknown_token", "vocab_absent",
-        "probs_absent"])
+        "probs_absent", "context_absent"])
 def test_decode_rejects_lm_field_of_wrong_type(workdir, capsys, edit, message):
     lm = json.loads((GOLDEN / "toy_mono.lm.json").read_text())
     (workdir / "lm.json").write_text(edit(lm) or json.dumps(lm))

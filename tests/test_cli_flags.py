@@ -11,6 +11,8 @@ flag added later is covered without a new test.
   subcommand's ``--help``, and a value outside it fails with the same line
   when every input file is missing, so before any file is read.
 - A flag that counts loop iterations fails above its documented bound.
+- Every file flag's ``--help`` shows its ``core.FORMATS`` format, every field
+  of it, rows included.
 """
 import argparse
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from polyeval.cli import RANGES, build_parser, run
+from polyeval.core import FORMATS, describe
 from polyeval.core import validate_example, validate_generation_set
 from polyeval.dataio import read_jsonl, write_jsonl
 from polyeval.textmetrics import bleu, score_matrix
@@ -226,3 +229,40 @@ def test_range_errors_come_before_any_file_is_read(workdir):
         checked.add(_command(argv))
     # normalize's one number flag, --seed, takes any integer
     assert checked == set(RANGES) - {"normalize"}
+
+
+# by subcommand, the format each file flag reads
+READS = {
+    "normalize": {"--in": "raw_records"},
+    "eval": {"--examples": "examples", "--generations": "generations",
+             "--clusters": "clusters", "--embeddings": "embeddings",
+             "--external-scores": "external_scores"},
+    "diversity": {"--generations": "generations", "--embeddings": "embeddings",
+                  "--gold-clusters": "clusters"},
+    "datastats": {"--examples": "examples"},
+    "stats agree": {"--in": "annotations"},
+    "stats mcnemar": {"--in": "annotations"},
+    "stats prop": {},
+    "stats ttest": {"--scores": "ttest_scores"},
+    "decode": {"--lm": "lm", "--examples": "examples"},
+}
+
+
+def _field_names(fields: dict):
+    for name, field in fields.items():
+        yield name
+        if isinstance(field.item, dict):
+            yield from _field_names(field.item)
+
+
+def test_help_shows_the_format_of_every_file_flag():
+    assert sorted(" ".join(words) for words in _commands()) == sorted(READS)
+    assert {fmt for reads in READS.values() for fmt in reads.values()} == set(FORMATS)
+    for words in _commands():
+        reads = READS[" ".join(words)]
+        flags = {flag for action in _flags(words) for flag in action.option_strings}
+        assert flags & set(INPUT_FLAGS) == set(reads)
+        text = _subparser(words).format_help()
+        for flag, fmt in reads.items():
+            assert f"  {flag} ({fmt}):\n{describe(FORMATS[fmt])}" in text
+            assert all(f" {name}: " in text for name in _field_names(FORMATS[fmt]))

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from polyeval.core import (
-    CONVOSENSE_CORE,
     EvalConfig,
     InferenceType,
     dumps_canonical,
@@ -32,7 +31,6 @@ def record(**overrides):
 def test_valid_example():
     ex = validate_example(record())
     assert ex.example_id == "ex1"
-    assert ex.target_index == 1
     assert ex.references == ("a", "b")
     assert ex.inference_type is InferenceType.DESIRE
 
@@ -102,13 +100,6 @@ def test_question_for_total_and_invertible():
     assert len(seen) == 15  # distinct prompt pairs identify their type
     for (question, prefix), itype in seen.items():
         assert (itype.question, itype.answer_prefix) == (question, prefix)
-
-
-def test_core_flag_marks_ten_types():
-    assert len(CONVOSENSE_CORE) == 10
-    assert InferenceType.DESIRE in CONVOSENSE_CORE
-    assert InferenceType.OBSTACLE not in CONVOSENSE_CORE
-    assert InferenceType.EFFECT not in CONVOSENSE_CORE
 
 
 def test_round_trip_is_byte_identical():

@@ -47,8 +47,6 @@ def test_tags_alternate_backwards_from_terminal_speaker():
     ex = normalize(raw(utterances))
     roles = [t.speaker_tag.split(" ")[0] for t in ex.dialogue]
     assert roles == ["Speaker", "Listener", "Speaker", "Listener", "Speaker"]
-    # terminal utterance is the target
-    assert ex.target_index == 4
     assert ex.dialogue[-1].speaker_tag == "Speaker (A)"
 
 

@@ -1,11 +1,13 @@
-"""The input contract of every JSONL loader, run in-process through cli.run.
+"""The input contract of every input format, run in-process through cli.run.
 
-In an otherwise valid input file, one field of one record is replaced by a
-value of the wrong shape (a string, an int, null, a list of strings or a
-nested object, whichever the field is not), or deleted where the field has
-no default.  The command must exit 1 with exactly one line,
-``error: <file>:<line>: ...`` naming that record's line, show no traceback
-and create no output file.
+The fields come from walking ``core.FORMATS``, rows included, and every
+format has a loader case here.  In an otherwise valid input file, one field
+of one record (or of one row of a record) is replaced by a value of the
+wrong shape (a string, an int, null, a list of strings or a nested object,
+whichever the field is not), or deleted where the field has no default.
+The command must exit 1 with exactly one line, ``error: <file>:<line>: ...``
+naming that record's line (``error: <file>: ...`` for the LM config, one
+JSON object), show no traceback and create no output file.
 """
 import contextlib
 import io
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyeval.cli import run
+from polyeval.core import FORMATS, REQUIRED
 from polyeval.dataio import text_key, write_jsonl
+from polyeval.stats import LABEL_SETS
 
 OUTPUTS = ["they feel proud", "nothing matches"]
 REFERENCES = ["they feel proud", "they want rest"]
@@ -73,46 +77,73 @@ def _raw():
     ]
 
 
+def _lm():
+    # one JSON object, written as a one-line file
+    return [{"order": 2, "vocab": ["they", "rest", "</s>"], "end_token": "</s>",
+             "cond": [{"context": [], "probs": {"they": 1.0}},
+                      {"context": ["they"], "probs": {"rest": 0.5, "</s>": 0.5}},
+                      {"context": ["rest"], "probs": {"</s>": 1.0}}]}]
+
+
 EVAL = ["eval", "--examples", "u.jsonl", "--generations", "g.jsonl", "--report", "r.json"]
 EVAL_INPUTS = {"u.jsonl": _examples, "g.jsonl": _generations}
 
-# loader: (file under test, every input file, argv, {field: shape of its value});
-# "list" marks a list that is not a list of strings
+# format: (file under test, every input file, argv)
 LOADERS = {
-    "examples": ("u.jsonl", EVAL_INPUTS, EVAL,
-                 {"example_id": "string", "type": "string", "dialogue": "list",
-                  "references": "strings"}),
-    "generations": ("g.jsonl", EVAL_INPUTS, EVAL,
-                    {"example_id": "string", "mode": "string", "runs": "list"}),
+    "examples": ("u.jsonl", EVAL_INPUTS, EVAL),
+    "generations": ("g.jsonl", EVAL_INPUTS, EVAL),
     "embeddings": ("emb.jsonl", {**EVAL_INPUTS, "emb.jsonl": _embeddings},
-                   EVAL + ["--metric", "embed", "--embeddings", "emb.jsonl"],
-                   {"key": "string", "text": "string", "vector": "list"}),
+                   EVAL + ["--metric", "embed", "--embeddings", "emb.jsonl"]),
     "clusters": ("c.jsonl", {
         **EVAL_INPUTS,
         "c.jsonl": lambda: [{"example_id": f"e{i}", "clusters": [[0], [1]]} for i in range(2)],
-    }, EVAL + ["--topk", "2", "--clusters", "c.jsonl"],
-        {"example_id": "string", "clusters": "list"}),
+    }, EVAL + ["--topk", "2", "--clusters", "c.jsonl"]),
     "external_scores": ("x.jsonl", {
         **EVAL_INPUTS,
         "x.jsonl": lambda: [{"example_id": f"e{i}", "scores": [[0.5, 0.1], [0.2, 0.3]]}
                             for i in range(2)],
-    }, EVAL + ["--topk", "2", "--metric", "external", "--external-scores", "x.jsonl"],
-        {"example_id": "string", "scores": "list"}),
+    }, EVAL + ["--topk", "2", "--metric", "external", "--external-scores", "x.jsonl"]),
     "annotations": ("ann.jsonl", {"ann.jsonl": _annotations},
-                    ["stats", "agree", "--in", "ann.jsonl", "--report", "r.json"],
-                    {field: "string" for field in
-                     ("task", "system", "item_id", "annotator", "label")}),
+                    ["stats", "agree", "--in", "ann.jsonl", "--report", "r.json"]),
     "ttest_scores": ("s.jsonl", {
         "s.jsonl": lambda: [{"name": name, "values": [1.0, 2.0 + i, 4.0 * i]}
                             for i, name in enumerate(("m1", "m2", "m3"))],
-    }, ["stats", "ttest", "--scores", "s.jsonl", "--report", "r.json"],
-        {"name": "string", "values": "list"}),
+    }, ["stats", "ttest", "--scores", "s.jsonl", "--report", "r.json"]),
     "raw_records": ("raw.jsonl", {"raw.jsonl": _raw},
                     ["normalize", "--in", "raw.jsonl", "--source", "generic",
-                     "--out", "out.jsonl", "--report", "r.json"],
-                    {"example_id": "string", "source": "string", "utterances": "list",
-                     "type_label": "string", "inferences": "strings"}),
+                     "--out", "out.jsonl", "--report", "r.json"]),
+    "lm": ("lm.json", {"lm.json": _lm, "u.jsonl": _examples},
+           ["decode", "--lm", "lm.json", "--examples", "u.jsonl", "--strategy", "beam",
+            "--beams", "2", "--out", "out.jsonl", "--report", "r.json"]),
 }
+
+
+def _fields(fields: dict, prefix: str = "") -> dict:
+    """{path: Field} for every field of a format, a row's field as
+    "<list>[].<field>"."""
+    paths = {}
+    for name, field in fields.items():
+        paths[prefix + name] = field
+        if isinstance(field.item, dict):
+            paths.update(_fields(field.item, f"{prefix}{name}[]."))
+    return paths
+
+
+def _shape(field) -> str:
+    """The shape of the field's right values; "list" is a list that is not a
+    list of strings."""
+    if field.kind in ("string", "object"):
+        return field.kind
+    if field.kind == "integer":
+        return "int"
+    return "strings" if field.item == "string" else "list"
+
+
+def _holders(records: list, path: str) -> list:
+    """(line, object) for each record, or row of a record, holding the field."""
+    rows, _, name = path.rpartition("[].")
+    return [(line, holder) for line, record in enumerate(records, start=1)
+            for holder in (record.get(rows, []) if rows else [record]) if name in holder]
 
 # every shape a drawn value can take; each is wrong for a field of another shape
 SHAPES = {
@@ -122,11 +153,15 @@ SHAPES = {
     "strings": st.lists(st.text(max_size=5), min_size=1, max_size=3),
     "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
-# a deleted field is the "absent" case; these fields have a default instead
-OPTIONAL = {("raw_records", "source")}  # normalize --source
-CASES = [(loader, field, shape) for loader, (_, _, _, fields) in LOADERS.items()
-         for field, right in fields.items() for shape in [*SHAPES, "absent"]
-         if shape != right and (shape != "absent" or (loader, field) not in OPTIONAL)]
+# A deleted field is the "absent" case, except where the field has a default.
+# Of the fields that may be absent (default None), deleting a raw record's
+# source leaves a valid record (normalize --source), but deleting an embedding
+# row's key or text leaves the row with neither.
+CASES = [(loader, path, shape) for loader in LOADERS
+         for path, field in _fields(FORMATS[loader]).items()
+         for shape in [*SHAPES, "absent"] if shape != _shape(field) and (
+             shape != "absent" or field.default is REQUIRED or (
+                 field.default is None and (loader, path) != ("raw_records", "source")))]
 
 
 def _run_in(directory: str, files: dict, argv: list[str]) -> tuple[int, str, list[str]]:
@@ -143,36 +178,52 @@ def _run_in(directory: str, files: dict, argv: list[str]) -> tuple[int, str, lis
     return code, err.getvalue(), sorted(set(os.listdir(directory)) - before)
 
 
+def _where(directory: str, name: str, line: int | None) -> str:
+    """The place an error names: the file, and the line of a JSONL record."""
+    path = os.path.join(directory, name)
+    return path if line is None or name.endswith(".json") else f"{path}:{line}"
+
+
+def test_every_format_has_a_loader_case():
+    assert sorted(LOADERS) == sorted(FORMATS)
+    # each nested row format is reached
+    assert {"dialogue[].speaker", "dialogue[].text"} <= set(_fields(FORMATS["examples"]))
+    assert {"cond[].context", "cond[].probs"} <= set(_fields(FORMATS["lm"]))
+
+
+def test_annotation_tasks_are_the_label_sets():
+    assert FORMATS["annotations"]["task"].choices == tuple(LABEL_SETS)
+
+
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_valid_inputs_pass(loader):
-    _, inputs, argv, _ = LOADERS[loader]
+    _, inputs, argv = LOADERS[loader]
     with tempfile.TemporaryDirectory() as directory:
         code, err, _ = _run_in(directory, {n: make() for n, make in inputs.items()}, argv)
     assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("loader, field, shape", CASES, ids=["-".join(c) for c in CASES])
+@pytest.mark.parametrize("loader, path, shape", CASES, ids=["-".join(c) for c in CASES])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
-def test_wrong_shape_field_names_file_and_line(loader, field, shape, data):
-    name, inputs, argv, _ = LOADERS[loader]
+def test_wrong_shape_field_names_file_and_line(loader, path, shape, data):
+    name, inputs, argv = LOADERS[loader]
     files = {n: make() for n, make in inputs.items()}
-    records = files[name]
-    index = data.draw(st.sampled_from([i for i, r in enumerate(records) if field in r]),
-                      label="record")
+    line, holder = data.draw(st.sampled_from(_holders(files[name], path)), label="holder")
+    field = path.rpartition("[].")[2]
     if shape == "absent":
-        del records[index][field]
+        del holder[field]
     else:
-        records[index][field] = data.draw(SHAPES[shape], label="value")
+        holder[field] = data.draw(SHAPES[shape], label="value")
     with tempfile.TemporaryDirectory() as directory:
         code, err, created = _run_in(directory, files, argv)
-        prefix = f"error: {os.path.join(directory, name)}:{index + 1}: "
-    assert code == 1, json.dumps(records[index])
+        prefix = f"error: {_where(directory, name, line)}: "
+    assert code == 1, json.dumps(files[name][line - 1])
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert created == []
     if shape == "absent":  # a deleted embedding key falls back to the text
-        named = "text" if (loader, field) == ("embeddings", "key") else field
+        named = "text" if (loader, path) == ("embeddings", "key") else field
         assert err.endswith(f"missing field {named!r}\n"), err
 
 
@@ -222,6 +273,8 @@ INVALID_VALUES = {
                       "example 'r1': no inferences"),
     "one_dimensional_vector": ("embeddings", lambda r: r[1].update(vector=[1.0]), 2,
                                "vector must have d >= 2"),
+    "key_and_text": ("embeddings", lambda r: r[0].update(text=OUTPUTS[0]), 1,
+                     "give key or text, not both"),
     # JSON true and false are not numbers, though numpy would read 1.0 and 0.0
     "boolean_in_vector": ("embeddings", lambda r: r[1].update(vector=[True, 0.5]), 2,
                           "vector must be a nonempty 1-D array of numbers"),
@@ -237,10 +290,10 @@ INVALID_VALUES = {
 @pytest.mark.parametrize("case", INVALID_VALUES)
 def test_invalid_value_names_file_and_line(case):
     loader, edit, line, message = INVALID_VALUES[case]
-    name, inputs, argv, _ = LOADERS[loader]
+    name, inputs, argv = LOADERS[loader]
     files = {n: make() for n, make in inputs.items()}
     edit(files[name])
     with tempfile.TemporaryDirectory() as directory:
         code, err, created = _run_in(directory, files, argv)
-        where = os.path.join(directory, name) + ("" if line is None else f":{line}")
+        where = _where(directory, name, line)
     assert (code, err, created) == (1, f"error: {where}: {message}\n", [])
