@@ -7,7 +7,8 @@ scorers.
 ``import polyeval`` loads no submodule.  ``_EXPORTS`` names the module of
 every public name, and the first access to a name imports that module
 (PEP 562), so ``from polyeval import polyagg`` loads scoring and what it
-imports, and ``polyeval.decode`` loads decode alone.
+imports, and ``polyeval.decode`` loads decode alone.  It is the one table of
+name and module: ``cli`` takes each subcommand's names through it.
 """
 
 import importlib

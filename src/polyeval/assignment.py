@@ -2,14 +2,13 @@
 
 scipy's ``linear_sum_assignment`` (a shortest-augmenting-path solver after
 Crouse 2016) finds the optimal total.  Only its compiled extension
-``scipy/optimize/_lsap`` is loaded, registered as ``scipy.optimize._lsap``
-so that a later ``import scipy.optimize`` reuses it, also as its ``_lsap``
-attribute.  When ``scipy.optimize`` is already loaded its extension is
-used, and the public ``from scipy.optimize import linear_sum_assignment``
-is the fallback when the extension cannot be loaded alone.  Importing all
-of ``scipy.optimize`` would add about 0.5 s to the start-up of every
-command that assigns (2-vCPU x86 host, scipy 1.17); the extension alone
-loads in about 0.015 s.
+``scipy/optimize/_lsap`` is loaded, under this package's own name
+``polyeval._lsap``, so ``scipy`` and ``scipy.optimize`` stay unloaded and a
+later ``import scipy.optimize`` loads its own copy as usual.  The public
+``from scipy.optimize import linear_sum_assignment`` is the fallback when the
+extension cannot be loaded alone.  Importing all of ``scipy.optimize`` would
+add about 0.5 s to the start-up of every command that assigns (2-vCPU x86
+host, scipy 1.17); the extension alone loads in about 0.015 s.
 
 The tie contract has one definition: the result is the lexicographically
 smallest row-sorted pair list among all assignments whose total is
@@ -29,6 +28,7 @@ Problems*, 2009).  Then the solver's pairs are the contract's answer and
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
     import numpy as np
 
 _TIE_TOL = 1e-9
-_LSAP = "scipy.optimize._lsap"
 
 
 @dataclass(frozen=True)
@@ -54,57 +53,21 @@ class Assignment:
     unique: bool  # no other assignment is within 1e-9 of the optimum
 
 
-def _load_lsap():
-    """scipy's compiled solver module loaded alone, or None if it cannot be."""
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None or not scipy.submodule_search_locations:
-        return None
-    folder = Path(scipy.submodule_search_locations[0]) / "optimize"
-    paths = [folder / f"_lsap{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if p.is_file()), None)
-    if path is None:
-        return None
-    spec = importlib.util.spec_from_file_location(_LSAP, path)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError:
-        return None
-    sys.modules[_LSAP] = module
-    sys.meta_path.insert(0, _LinkLsap)
-    return module
-
-
-class _LinkLsap:
-    """Meta path finder that gives a later ``import scipy.optimize`` its
-    ``_lsap`` attribute.  The package reuses the extension registered in
-    ``sys.modules``, but the import system sets a parent's attribute only
-    for a child it loads itself."""
-
-    @staticmethod
-    def find_spec(name, path=None, target=None):
-        if name != "scipy.optimize":
-            return None
-        spec = importlib.machinery.PathFinder.find_spec(name, path)
-        if spec is not None and spec.loader is not None:
-            exec_module = spec.loader.exec_module
-
-            def exec_and_link(module):
-                exec_module(module)
-                if "_lsap" not in vars(module):
-                    module._lsap = sys.modules[_LSAP]
-
-            spec.loader.exec_module = exec_and_link
-        return spec
-
-
 @functools.cache
 def _solver():
-    """scipy's ``linear_sum_assignment``, loaded on the first call; the
-    extension already loaded by ``scipy.optimize`` is reused."""
-    module = sys.modules.get(_LSAP) or _load_lsap()
-    if module is not None:
-        return module.linear_sum_assignment
+    """scipy's ``linear_sum_assignment``, loaded on the first call from its
+    extension alone as ``polyeval._lsap``, or else by the public import."""
+    scipy = importlib.util.find_spec("scipy")
+    paths = [Path(scipy.submodule_search_locations[0], "optimize", f"_lsap{suffix}")
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES] if scipy else []
+    path = next((path for path in paths if path.is_file()), None)
+    if path is not None:
+        spec = importlib.util.spec_from_file_location(f"{__package__}._lsap", path)
+        with contextlib.suppress(ImportError):
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[spec.name] = module
+            return module.linear_sum_assignment
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment

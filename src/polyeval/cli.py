@@ -12,24 +12,25 @@ any file, and it is the flag's ``--help`` text.  ``core.FORMATS`` states
 each input file's format, shown by the ``--help`` of each subcommand.
 
 Every subcommand uses ``core``, ``dataio``, ``errors`` and ``report``, which
-load with this module.  ``IMPORTS`` names what each subcommand takes from the
-other layers; ``run`` loads the running subcommand's names, through this
-module's ``__getattr__``, just before it calls the subcommand, so
-``normalize`` never loads ``decode``.  For every name of ``IMPORTS``,
-``getattr(polyeval.cli, name)`` is the layer's own object: that is how
-``bench/tracing.py`` finds the names to wrap in this namespace, and ``run``
-keeps a name that is already set.
+load with this module.  ``IMPORTS`` lists the names each subcommand takes
+from the other layers, and the package's ``_EXPORTS``, the one table of
+name and module, says where each is defined.  ``run`` loads the running
+subcommand's names, through this module's ``__getattr__``, just before it
+calls the subcommand, so ``normalize`` never loads ``decode``.  For every
+name of ``IMPORTS``, ``getattr(polyeval.cli, name)`` is the layer's own
+object: that is how ``bench/tracing.py`` finds the names to wrap in this
+namespace, and ``run`` keeps a name that is already set.
 """
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from collections import Counter
 
 from . import __version__
 from .core import (
     FORMATS,
+    LABEL_SETS,
     EvalConfig,
     GenerationMode,
     check_shape,
@@ -53,32 +54,27 @@ from .dataio import (
 from .errors import PolyevalError, ValidationError
 from .report import render_report
 
-# by subcommand, the layers it uses beyond those above and the names it
-# takes from each
+# by subcommand, the names it takes from layers beyond those above; the
+# package's ``_EXPORTS`` names each one's layer
 IMPORTS = {
-    "eval": {"scoring": ("corpus_score",),
-             "textmetrics": ("load_external_scores", "make_metric")},
-    "diversity": {"diversity": ("bcubed", "cluster_greedy", "diversity_report")},
-    "datastats": {"diversity": ("ngram_uniqueness",)},
-    "stats agree": {"stats": ("LABEL_SETS", "binarize", "cohen_kappa", "gwet_ac1")},
-    "stats mcnemar": {"stats": ("LABEL_SETS", "binarize", "resolve_and_repeat")},
-    "stats prop": {"stats": ("chi_square_proportions",)},
-    "stats ttest": {"stats": ("paired_t_bonferroni",)},
-    "decode": {"decode": ("BeamConfig", "diverse_beam_search", "load_ngram_lm",
-                          "pack_runs", "sample_many")},
+    "eval": ("corpus_score", "load_external_scores", "make_metric"),
+    "diversity": ("bcubed", "cluster_greedy", "diversity_report"),
+    "datastats": ("ngram_uniqueness",),
+    "stats agree": ("binarize", "cohen_kappa", "gwet_ac1"),
+    "stats mcnemar": ("binarize", "resolve_and_repeat"),
+    "stats prop": ("chi_square_proportions",),
+    "stats ttest": ("paired_t_bonferroni",),
+    "decode": ("BeamConfig", "diverse_beam_search", "load_ngram_lm", "pack_runs",
+               "sample_many"),
 }
-_LAYER_OF = {name: layer for layers in IMPORTS.values()
-             for layer, names in layers.items() for name in names}
 
 
 def __getattr__(name: str):
-    """A name of ``IMPORTS``, imported from its layer on first use and kept
-    in this module's globals (PEP 562)."""
-    if name not in _LAYER_OF:
+    """A name of ``IMPORTS``, taken from the package, which imports its layer
+    on first use, and kept in this module's globals (PEP 562)."""
+    if not any(name in names for names in IMPORTS.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layer = importlib.import_module(f".{_LAYER_OF[name]}", __package__)
-    value = globals()[name] = getattr(layer, name)
-    return value
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 BLEU_NOTES = (
@@ -381,6 +377,8 @@ def _cmd_stats_prop(args) -> tuple:
 def _cmd_stats_ttest(args) -> tuple:
     def parse(record: dict) -> tuple:
         check_shape(record, FORMATS["ttest_scores"])
+        if not record["name"].strip():
+            raise ValidationError("name is blank")
         return record["name"], float_array(record["values"], "values")
 
     vectors = load_keyed(args.scores, parse, "name")
@@ -655,10 +653,9 @@ def run(argv: list[str]) -> int:
             value = getattr(args, flag[2:].replace("-", "_"))
             if value is not None and not _inside(interval, value):
                 raise ValidationError(f"{flag} must be in {interval}, got {value}")
-        for names in IMPORTS.get(command, {}).values():
-            for name in names:
-                if name not in globals():  # a replaced name stays as it is
-                    __getattr__(name)
+        for name in IMPORTS.get(command, ()):
+            if name not in globals():  # a replaced name stays as it is
+                __getattr__(name)
         body, warnings, outputs = args.func(args)
         report = {
             "tool": command.replace(" ", "."),

@@ -194,6 +194,12 @@ _TYPES = {"string": {str}, "integer": {int}, "number": {int, float}, "list": {li
           "object": {dict}, "nonempty 1-D array": {list}, "nonempty 2-D array": {list}}
 STRING, STRINGS = Field("string"), Field("list", "string")
 
+# positive/negative conversion for the two annotation tasks
+REASONABILITY_LABELS = {"always_likely": True, "sometimes_possible": True,
+                        "never_farfetched": False, "invalid_nonsense": False}
+NOVELTY_LABELS = {"new_detailed": True, "new_simple": True, "purely_repetitive": False}
+LABEL_SETS = {"reasonability": REASONABILITY_LABELS, "novelty": NOVELTY_LABELS}
+
 # Every input format.  ``check_shape`` checks a record against its format before any
 # semantic check, and --help shows it.  A field a format does not name is ignored.
 FORMATS: dict[str, dict[str, Field]] = {
@@ -211,7 +217,7 @@ FORMATS: dict[str, dict[str, Field]] = {
                     "utterances": Field("list", {"speaker": Field("string", default=""),
                                                  "text": STRING}),
                     "type_label": STRING, "inferences": STRINGS},
-    "annotations": {"task": Field("string", choices=("reasonability", "novelty")),
+    "annotations": {"task": Field("string", choices=tuple(LABEL_SETS)),
                     "system": Field("string", choices=("X", "Y")), "item_id": STRING,
                     "annotator": Field("string", choices=("A", "B")), "label": STRING},
     "ttest_scores": {"name": STRING, "values": Field("nonempty 1-D array", "number")},

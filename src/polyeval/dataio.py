@@ -291,7 +291,8 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Vectors by key: a row's ``key``, or the ``text_key`` of its ``text``."""
+    """Vectors by key: a row's ``key``, 64 lowercase hex digits, or the
+    ``text_key`` of its ``text``."""
     dim = None
 
     def parse(record: dict) -> tuple[str, np.ndarray]:
@@ -300,7 +301,11 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         if ("key" in record) == ("text" in record):
             raise ValidationError("give key or text, not both" if "key" in record
                                   else "missing field 'text'")
-        key = record["key"] if "key" in record else text_key(record["text"])
+        key = record.get("key")
+        if key is None:
+            key = text_key(record["text"])
+        elif not re.fullmatch("[0-9a-f]{64}", key):
+            raise ValidationError(f"key must be 64 lowercase hex digits (a sha256), got {key!r}")
         vec = float_array(record["vector"], "vector")
         if vec.shape[0] < 2:
             raise ValidationError("vector must have d >= 2")

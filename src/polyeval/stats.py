@@ -12,21 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .core import LABEL_SETS, NOVELTY_LABELS, REASONABILITY_LABELS  # noqa: F401
 from .errors import PolyevalError, ValidationError
-
-# positive/negative conversion for the two annotation tasks
-REASONABILITY_LABELS = {
-    "always_likely": True,
-    "sometimes_possible": True,
-    "never_farfetched": False,
-    "invalid_nonsense": False,
-}
-NOVELTY_LABELS = {
-    "new_detailed": True,
-    "new_simple": True,
-    "purely_repetitive": False,
-}
-LABEL_SETS = {"reasonability": REASONABILITY_LABELS, "novelty": NOVELTY_LABELS}
 
 
 def binarize(items: Sequence[tuple[str, str, str]]) -> list[tuple[str, bool, bool]]:

@@ -759,6 +759,23 @@ def test_stats_ttest_rejects_repeated_name(workdir, capsys):
     assert not (workdir / "t.json").exists()
 
 
+@pytest.mark.parametrize("name", ["", " ", "\t"])
+def test_stats_ttest_rejects_a_blank_name(workdir, capsys, name):
+    write_jsonl(workdir / "scores.jsonl", [{"name": "m1", "values": [0.8, 0.7, 0.9]},
+                                           {"name": name, "values": [0.5, 0.45, 0.6]}])
+    assert run(["stats", "ttest", "--scores", "scores.jsonl", "--report", "t.json"]) == 1
+    assert capsys.readouterr().err == "error: scores.jsonl:2: name is blank\n"
+    assert not (workdir / "t.json").exists()
+
+
+def test_stats_ttest_keeps_names_as_given(workdir):
+    write_jsonl(workdir / "scores.jsonl", [{"name": " m1 ", "values": [0.8, 0.7, 0.9]},
+                                           {"name": "m1", "values": [0.5, 0.45, 0.6]}])
+    assert run(["stats", "ttest", "--scores", "scores.jsonl", "--report", "t.json"]) == 0
+    [pair] = json.loads((workdir / "t.json").read_text())["pairs"]
+    assert (pair["x"], pair["y"]) == (" m1 ", "m1")
+
+
 SIGNIFICANCE_ARGV = {
     "mcnemar": ["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "5"],
     "prop": ["stats", "prop", "--successes", "9,7", "--trials", "10,10"],

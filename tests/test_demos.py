@@ -1,12 +1,15 @@
 """Every demo script runs to completion as a user would start it."""
+import importlib.machinery
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyeval
+from polyeval import assignment
 from polyeval.dataio import write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +55,7 @@ def test_import_loads_no_layer(tmp_path):
 # and which polyeval layers the command loaded
 HEAVY_PROBE = """
 import atexit, runpy, sys
-HEAVY = ("numpy", "scipy.optimize", "scipy.optimize._lsap", "scipy.special")
+HEAVY = ("numpy", "polyeval._lsap", "scipy.optimize", "scipy.special")
 atexit.register(lambda: print(
     "loaded:", [m for m in HEAVY if m in sys.modules],
     "layers:", sorted(m[9:] for m in sys.modules if m.startswith("polyeval.")
@@ -92,7 +95,7 @@ SCORES = [{"name": name, "values": [1.0, 2.0 + i, 4.0 * i]}
     (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
       "--topk", "1"], ["numpy"], EVAL_LAYERS),
     (["eval", "--examples", EXAMPLES, "--generations", DBS, "--metric", "bleu",
-      "--topk", "3"], ["numpy", "scipy.optimize._lsap"], EVAL_LAYERS),
+      "--topk", "3"], ["numpy", "polyeval._lsap"], EVAL_LAYERS),
     (["stats", "agree", "--in", "ann.jsonl"], [], ["stats"]),
     (["stats", "mcnemar", "--in", "ann.jsonl", "--repeats", "3"],
      ["numpy", "scipy.special"], ["stats"]),
@@ -111,8 +114,17 @@ def test_each_command_loads_only_the_heavy_modules_it_uses(tmp_path, argv, loade
     assert result.stderr == f"loaded: {loaded} layers: {sorted(STARTUP + layers)}\n"
 
 
-# an eval top-k report, the scipy.optimize modules loaded after it, and the
-# solve_max results on a fixed batch of tie-dense matrices
+# a fixed batch of tie-dense matrices, drawn in a probe and in this process
+TIE_DENSE = """
+rng = np.random.default_rng(5)
+batch = []
+for _ in range(200):
+    shape = rng.integers(1, 8, size=2)
+    near = rng.integers(-1, 2, size=shape) * 1e-10
+    batch.append(rng.integers(0, 3, size=shape) + near)
+"""
+# an eval top-k report, whether a scipy.optimize module and the solver
+# extension are loaded after it, and the solve_max results on the batch
 SOLVER_PROBE = """
 import sys
 import numpy as np
@@ -120,12 +132,11 @@ from polyeval.assignment import solve_max
 from polyeval.cli import run
 run(["eval", "--examples", "unified.jsonl", "--generations", "g_dbs.jsonl",
      "--metric", "bleu", "--topk", "3", "--matching", "bipartite"])
-print("modules:", [m for m in ("scipy.optimize", "scipy.optimize._lsap") if m in sys.modules])
-rng = np.random.default_rng(5)
-for _ in range(200):
-    shape = rng.integers(1, 8, size=2)
-    near = rng.integers(-1, 2, size=shape) * 1e-10
-    result = solve_max(rng.integers(0, 3, size=shape) + near)
+print("modules:", any(m.startswith("scipy.optimize") for m in sys.modules),
+      "polyeval._lsap" in sys.modules)
+""" + TIE_DENSE + """
+for matrix in batch:
+    result = solve_max(matrix)
     print(result.pairs, result.unique)
 """
 
@@ -140,19 +151,38 @@ def probe_solver(preload):
 
 def test_eval_loads_only_the_solver_extension_and_both_paths_agree():
     report, modules, solved = probe_solver("")
-    assert modules == "['scipy.optimize._lsap']"
+    assert modules == "False True"
     assert report.startswith("{") and "True" in solved and "False" in solved
-    # the public import loaded first: the fallback path
+    # scipy.optimize loaded first: the solver still loads the extension alone
     report_public, modules_public, solved_public = probe_solver("import scipy.optimize\n")
-    assert modules_public == "['scipy.optimize', 'scipy.optimize._lsap']"
+    assert modules_public == "True True"
     assert (report_public, solved_public) == (report, solved)
 
 
-def test_public_import_reuses_the_loaded_solver(tmp_path):
-    code = ("import sys; from polyeval.assignment import solve_max; solve_max([[1.0]]); "
-            "lsap = sys.modules['scipy.optimize._lsap']; import scipy.optimize; "
-            "print(scipy.optimize.linear_sum_assignment is lsap.linear_sum_assignment, "
-            "scipy.optimize._lsap is lsap)")
+def test_public_import_fallback_gives_the_same_assignments(monkeypatch):
+    namespace = {"np": np}
+    exec(TIE_DENSE, namespace)
+    solved = [(r.pairs, r.unique) for r in map(assignment.solve_max, namespace["batch"])]
+    # no extension file is found, so the uncached loader takes the public import
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    fallback = assignment._solver.__wrapped__()
+    import scipy.optimize
+
+    assert fallback is scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(assignment, "_solver", lambda: fallback)
+    assert [(r.pairs, r.unique) for r in map(assignment.solve_max, namespace["batch"])] == solved
+
+
+def test_scipy_optimize_loads_its_own_solver_after_polyeval(tmp_path):
+    # the solver touches neither the import system nor scipy's namespace
+    code = ("import sys; finders = list(sys.meta_path); "
+            "from polyeval.assignment import solve_max; "
+            "matrix = [[1.0, 2.0, 0.0], [3.0, 0.5, 1.0], [0.0, 1.0, 4.0]]; "
+            "pairs = list(solve_max(matrix).pairs); "
+            "print(sys.meta_path == finders, [m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+            "import scipy.optimize; "
+            "rows, cols = scipy.optimize._lsap.linear_sum_assignment(matrix, maximize=True); "
+            "print(scipy.optimize._lsap.__name__, list(zip(rows.tolist(), cols.tolist())) == pairs)")
     result = run_python(["-c", code], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True True\n"
+    assert result.stdout == "True []\nscipy.optimize._lsap True\n"

@@ -53,7 +53,6 @@ def test_an_unknown_name_is_an_attribute_error():
 def test_a_cli_name_is_the_object_of_its_layer(command):
     # the benchmark's tracer finds a layer crossing by this identity, and
     # replaces the name in cli's namespace, where run keeps it
-    for layer, names in polyeval.cli.IMPORTS[command].items():
-        module = importlib.import_module(f"polyeval.{layer}")
-        for name in names:
-            assert getattr(polyeval.cli, name) is getattr(module, name)
+    for name in polyeval.cli.IMPORTS[command]:
+        module = importlib.import_module(f"polyeval.{polyeval._EXPORTS[name]}")
+        assert getattr(polyeval.cli, name) is getattr(module, name)

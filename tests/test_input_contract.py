@@ -275,6 +275,12 @@ INVALID_VALUES = {
                                "vector must have d >= 2"),
     "key_and_text": ("embeddings", lambda r: r[0].update(text=OUTPUTS[0]), 1,
                      "give key or text, not both"),
+    # a key is only ever matched as the sha256 hex of a text, so no other key loads
+    "key_not_hex": ("embeddings", lambda r: r[0].update(key="x"), 1,
+                    "key must be 64 lowercase hex digits (a sha256), got 'x'"),
+    "key_in_upper_case": ("embeddings", lambda r: r[0].update(key=text_key("A").upper()), 1,
+                          "key must be 64 lowercase hex digits (a sha256), "
+                          f"got {text_key('A').upper()!r}"),
     # JSON true and false are not numbers, though numpy would read 1.0 and 0.0
     "boolean_in_vector": ("embeddings", lambda r: r[1].update(vector=[True, 0.5]), 2,
                           "vector must be a nonempty 1-D array of numbers"),
