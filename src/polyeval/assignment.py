@@ -10,15 +10,13 @@ extension cannot be loaded alone.  Importing all of ``scipy.optimize`` would
 add about 0.5 s to the start-up of every command that assigns (2-vCPU x86
 host, scipy 1.17); the extension alone loads in about 0.015 s.
 
-The tie contract has one definition: the result is the lexicographically
-smallest row-sorted pair list among all assignments whose total is
->= optimum - 1e-9, where the optimum is the total of the solver's pairs.
-The tolerance is measured from the optimum alone, so near-ties do not
-chain: two assignments within 1e-9 of each other are not both ties unless
-both are within 1e-9 of the optimum.  A total is the exact sum of its
-entries rounded once (``math.fsum``), so an assignment has one total
-however its entries are added, and an assignment that reaches the
-threshold in one test reaches it in every test.
+The set score is ``optimum``: the exact total of one solve's pairs, rounded
+once (``math.fsum``), so it is one number however the entries are added.
+The tie contract fixes only ``solve_max``'s pairs: the lexicographically
+smallest row-sorted pair list among all assignments whose exact total is
+>= optimum - 1e-9.  The tolerance is measured from the optimum alone, so
+near-ties do not chain: two assignments within 1e-9 of each other are not
+both ties unless both are within 1e-9 of the optimum.
 
 Any other assignment lacks at least one of the solver's pairs, so the
 optimum is unique when forbidding each solver pair in turn drops the best
@@ -49,7 +47,7 @@ _TIE_TOL = 1e-9
 @dataclass(frozen=True)
 class Assignment:
     pairs: tuple[tuple[int, int], ...]
-    objective: float  # sum of the assigned entries, in pair order
+    objective: float  # optimum(matrix); the pairs reach it within 1e-9
     unique: bool  # no other assignment is within 1e-9 of the optimum
 
 
@@ -113,32 +111,20 @@ def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
 
     m, n = matrix.shape
     size = len(witness)
-    # the float error of a total, so that the upper bound never drops a
-    # candidate whose total reaches the threshold
-    slack = 2 * size * size * sys.float_info.epsilon * float(np.abs(matrix).max())
     rows = list(range(m))
     cols = list(range(n))
 
     for pos in range(size):
         need = size - pos - 1
-        prefix = math.fsum(matrix[r, c] for r, c in witness[:pos])
         chosen = None
         for ri, r in enumerate(rows):
             if len(rows) - ri - 1 < need:
                 break  # skipping r would leave too few rows
             rest_rows = rows[ri + 1 :]
-            if need:
-                # cheap upper bound: best columns per remaining row
-                row_best = np.sort(np.max(matrix[np.ix_(rest_rows, cols)], axis=1))
-                ub_rest = float(row_best[-need:].sum())
-            else:
-                ub_rest = 0.0
             for c in cols:
                 if (r, c) == witness[pos]:
                     chosen = ri
                     break
-                if prefix + matrix[r, c] + ub_rest < threshold - slack:
-                    continue
                 rest = []
                 if need:
                     rest_cols = [x for x in cols if x != c]
@@ -159,8 +145,9 @@ def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
     return witness
 
 
-def solve_max(matrix) -> Assignment:
-    """Injective row->column matching of size min(m, n) maximizing the total."""
+def _solved(matrix):
+    """The matrix as a checked float array, the solver's (rows, cols) and
+    their exact total."""
     import numpy as np
 
     a = np.asarray(matrix, dtype=float)
@@ -169,10 +156,22 @@ def solve_max(matrix) -> Assignment:
     if not np.all(np.isfinite(a)):
         raise PolyevalError("score matrix contains NaN/Inf entries")
     rows, cols = _solve(a)
-    threshold = math.fsum(a[rows, cols].tolist()) - _TIE_TOL
+    return a, rows, cols, math.fsum(a[rows, cols].tolist())
+
+
+def optimum(matrix) -> float:
+    """The maximal total of an injective row->column matching of size
+    min(m, n), from one solve."""
+    return _solved(matrix)[3]
+
+
+def solve_max(matrix) -> Assignment:
+    """Injective row->column matching of size min(m, n) maximizing the total,
+    with its pairs fixed by the tie contract."""
+    a, rows, cols, total = _solved(matrix)
+    threshold = total - _TIE_TOL
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
     unique = _is_unique(a, pairs, threshold)
     if not unique:
         pairs = _lex_smallest_pairs(a, pairs, threshold)
-    return Assignment(tuple(pairs), float(sum(a[r, c] for r, c in pairs)), unique)
-
+    return Assignment(tuple(pairs), total, unique)

@@ -268,7 +268,6 @@ class EmbeddingStore:
             raise ValidationError("embedding dimension must be >= 2")
         self._vectors = vectors
         self._found: dict[str, tuple[np.ndarray, float]] = {}
-        self.dim = next(iter(dims)) if dims else 0
 
     def lookup_with_norm(
         self, text: str, example_id: str | None = None

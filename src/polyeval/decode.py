@@ -487,7 +487,6 @@ _BARE_MARKER = re.compile(r"\((\d+)\)\s*")
 @dataclass(frozen=True)
 class ParsedSequence:
     items: tuple[str, ...]
-    indices: tuple[int, ...]
     warnings: tuple[str, ...]
 
 
@@ -513,7 +512,7 @@ def parse_polymorphic(sequence: str) -> ParsedSequence:
     if bare_mode:
         matches = list(_BARE_MARKER.finditer(sequence))
     if not matches:
-        return ParsedSequence((), (), ())
+        return ParsedSequence((), ())
     warnings = []
     if sequence[: matches[0].start()].strip():
         warnings.append("leading_text")
@@ -535,7 +534,7 @@ def parse_polymorphic(sequence: str) -> ParsedSequence:
         warnings.append("out_of_order_indices")
     elif indices != list(range(1, len(indices) + 1)):
         warnings.append("non_contiguous_indices")
-    return ParsedSequence(tuple(items), tuple(indices), tuple(warnings))
+    return ParsedSequence(tuple(items), tuple(warnings))
 
 
 # --- toy n-gram language model ----------------------------------------------
@@ -592,7 +591,6 @@ class NgramLM:
                 )
             logtable[context] = logs
         self.order = order
-        self.vocab = tuple(vocab)
         self.end_token = end_token
         self._table = logtable
 

@@ -2,7 +2,9 @@
 moderation and reference-count weighting.
 
 ``polyagg`` scores a set of outputs: score matrix, optional max-pooling of
-output rows into cluster rows, then bipartite or maximum matching.
+output rows into cluster rows, then bipartite or maximum matching.  A
+bipartite score is ``assignment.optimum`` over min(m, n): one solve and no
+tie-break, so a near-tie cannot make it depend on the order of the outputs.
 ``top1_select`` applies the paper's top-1 rules.  Both take their scores
 from the metric or from an external sidecar.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .assignment import solve_max
+from .assignment import optimum
 from .core import (
     Example,
     EvalConfig,
@@ -117,8 +119,7 @@ def polyagg(
 
         matrix = np.stack([matrix[group].max(axis=0) for group in groups])
     if matching == "bipartite":
-        assignment = solve_max(matrix)
-        return assignment.objective / len(assignment.pairs)
+        return optimum(matrix) / min(matrix.shape)
     if matching == "maximum":
         return float(matrix.max(axis=1).mean())
     raise ValidationError(f"unknown matching {matching!r}")

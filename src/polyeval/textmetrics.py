@@ -189,8 +189,6 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
         metric.compare = _cosine
         metric.compare_matrix = _cosine_matrix
         return metric
-    if metric_id == "exact":
-        return exact_match
     raise ValidationError(f"unknown metric id {metric_id!r}")
 
 

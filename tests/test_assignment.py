@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyeval.assignment import solve_max
+from polyeval.assignment import optimum, solve_max
 from polyeval.errors import PolyevalError, ValidationError
 
 
@@ -106,6 +106,8 @@ def test_matches_brute_force_on_tie_dense_matrices(m, n, data):
     expect_total, expect_pairs = brute_force(a)
     assert res.objective == pytest.approx(expect_total, abs=1e-9)
     assert res.pairs == expect_pairs
+    assert res.objective == optimum(a)
+    assert optimum(a) == pytest.approx(max(t for t, _ in assignments(a)), abs=1e-9)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -206,9 +208,10 @@ def test_constant_shift_property():
 
 
 def test_invalid_inputs():
-    with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
-        solve_max([[1.0, float("nan")]])
-    with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
-        solve_max([[float("inf")]])
-    with pytest.raises(ValidationError):
-        solve_max(np.zeros((0, 3)))
+    for solve in (solve_max, optimum):
+        with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
+            solve([[1.0, float("nan")]])
+        with pytest.raises(PolyevalError, match="contains NaN/Inf entries"):
+            solve([[float("inf")]])
+        with pytest.raises(ValidationError):
+            solve(np.zeros((0, 3)))

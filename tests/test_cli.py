@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polyeval import cli
@@ -335,6 +336,50 @@ def test_eval_external_scores_at_the_tie_boundary(workdir, capsys):
     assert capsys.readouterr().err == ""
     report = json.loads((workdir / "r.json").read_text())
     assert report["overall"] == pytest.approx(0.75, abs=1e-8)
+
+
+def test_eval_set_score_does_not_depend_on_output_order(workdir):
+    # two assignments tie within 1e-9; the set score is the optimum, not the
+    # total of whichever pairs the tie-break keeps for this order
+    make_examples(workdir / "u.jsonl", n=1)
+    near = 0.5 + 5e-10
+    reports = []
+    for outputs, scores in ((("a", "b"), [[0.5, near], [near, 0.5]]),
+                            (("b", "a"), [[near, 0.5], [0.5, near]])):
+        make_generations(workdir / "g.jsonl", n=1, runs=(outputs,))
+        write_jsonl(workdir / "x.jsonl", [{"example_id": "e0", "scores": scores}])
+        assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                    "--metric", "external", "--external-scores", "x.jsonl",
+                    "--topk", "2", "--report", "r.json"]) == 0
+        reports.append((workdir / "r.json").read_bytes())
+    assert reports[0] == reports[1]
+    # the optimum 2 * near over two references, at 9 significant digits
+    assert json.loads(reports[0])["overall"] == 0.500000001
+
+
+def test_eval_makes_one_solve_per_set_score(workdir, monkeypatch):
+    from polyeval import assignment
+
+    # tie-dense matrices, on which solve_max would also run its tie-break
+    matrices = [np.ones((5, 3)), np.eye(4)[[0, 0, 1, 2, 3]], np.full((2, 5), 0.5),
+                np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    assert not any(assignment.solve_max(m).unique for m in matrices)
+    write_jsonl(workdir / "u.jsonl", [
+        {"example_id": f"e{i}", "type": "Desire", "references": [f"r{j}" for j in range(n)],
+         "dialogue": [{"speaker": "Speaker (B)", "text": "hello there"}]}
+        for i, (_, n) in enumerate(m.shape for m in matrices)])
+    write_jsonl(workdir / "g.jsonl", [
+        {"example_id": f"e{i}", "mode": "monomorphic_beam",
+         "runs": [[f"o{j}" for j in range(len(m))]]} for i, m in enumerate(matrices)])
+    write_jsonl(workdir / "x.jsonl", [{"example_id": f"e{i}", "scores": m.tolist()}
+                                      for i, m in enumerate(matrices)])
+    calls = []
+    solve = assignment._solve
+    monkeypatch.setattr(assignment, "_solve", lambda a: calls.append(a.shape) or solve(a))
+    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                "--metric", "external", "--external-scores", "x.jsonl",
+                "--topk", "5", "--report", "r.json"]) == 0
+    assert sorted(calls) == sorted(m.shape for m in matrices)
 
 
 @pytest.mark.parametrize("topk", ["1", "5"])

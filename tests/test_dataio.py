@@ -237,7 +237,7 @@ def test_embedding_store_roundtrip(tmp_path):
         ],
     )
     store = load_embeddings(path)
-    assert store.dim == 2
+    assert store.lookup_with_norm("hello")[0].shape == (2,)
     assert np.allclose(store.lookup_with_norm("hello")[0], [1.0, 0.0])
     assert np.allclose(store.lookup_with_norm("  world \n")[0], [0.0, 1.0])
     with pytest.raises(PolyevalError, match="no embedding for text 'absent'"):

@@ -592,7 +592,7 @@ def test_parse_keeps_internal_markers():
 
 
 def test_parse_unparseable():
-    assert parse_polymorphic("no markers here") == ParsedSequence((), (), ())
+    assert parse_polymorphic("no markers here") == ParsedSequence((), ())
     with pytest.raises(ValidationError):
         format_polymorphic([])
     with pytest.raises(ValidationError):

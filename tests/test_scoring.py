@@ -265,6 +265,28 @@ def test_external_scores_with_clusters_equal_the_metric(matching):
     ) == polyagg(outs, refs, bleu, matching, clusters=clusters)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6))
+def test_bipartite_set_score_does_not_depend_on_order(data, m, n):
+    # quarter steps plus 0 to 3 steps of 2**-32: every total is exact, and
+    # assignments that tie within 1e-9 are common
+    quarters = data.draw(st.lists(st.integers(0, 4), min_size=m * n, max_size=m * n))
+    steps = data.draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+    scores = (np.array(quarters) / 4 + np.array(steps) * 2.0**-32).reshape(m, n)
+    rows = data.draw(st.permutations(range(m)))
+    cols = data.draw(st.permutations(range(n)))
+    outputs = [f"o{i}" for i in range(m)]
+    references = [f"r{j}" for j in range(n)]
+
+    def score(outs, refs, matrix):
+        return polyagg(outs, refs, external=ExternalScoreSidecar({"e": matrix}),
+                       example_id="e")
+
+    permuted = score([outputs[i] for i in rows], [references[j] for j in cols],
+                     scores[np.ix_(rows, cols)])
+    assert permuted == score(outputs, references, scores)
+
+
 @pytest.mark.parametrize("clusters", [[[0, 1], []], [[0]], [[0, 1], [1]], [[0, 2]]],
                          ids=["empty", "not_covering", "overlap", "out_of_range"])
 def test_bad_clustering_names_the_example(clusters):
