@@ -9,6 +9,12 @@ every public name, and the first access to a name imports that module
 (PEP 562), so ``from polyeval import polyagg`` loads scoring and what it
 imports, and ``polyeval.decode`` loads decode alone.  It is the one table of
 name and module: ``cli`` takes each subcommand's names through it.
+
+A name is public when something outside its module names it (another
+module of ``src/``, a demo, the benchmark or the README), or when an
+annotation of another public name does (a parameter, a return type or a
+dataclass field).  ``accumulate_runs`` is the one exception: nothing calls
+it yet, and whether ``eval`` uses it or it goes is still open.
 """
 
 import importlib
@@ -26,15 +32,13 @@ _EXPORTS = {
             "validate_example", "validate_generation_set",
         ),
         "dataio": (
-            "EmbeddingStore", "RawRecord", "TYPE_SYNTHESIS", "accumulate_runs",
-            "load_clusters", "load_embeddings", "map_type", "normalize", "read_jsonl",
-            "text_key", "write_jsonl",
+            "EmbeddingStore", "RawRecord", "accumulate_runs", "load_clusters",
+            "load_embeddings", "normalize", "read_jsonl", "text_key",
         ),
         "decode": (
             "BeamConfig", "DecodedSequence", "NgramLM", "ParsedSequence",
-            "apply_repetition_penalty", "diverse_beam_search", "format_polymorphic",
-            "load_ngram_lm", "pack_runs", "parse_polymorphic", "sample_many",
-            "sample_sequences",
+            "diverse_beam_search", "format_polymorphic", "load_ngram_lm", "pack_runs",
+            "parse_polymorphic", "sample_many", "sample_sequences",
         ),
         "diversity": (
             "DiversityReport", "bcubed", "cluster_greedy", "diversity_report",
@@ -46,11 +50,11 @@ _EXPORTS = {
         ),
         "stats": (
             "McNemarResult", "PairedT", "RepeatReport", "binarize",
-            "chi_square_proportions", "chi2_sf", "cohen_kappa", "gwet_ac1", "mcnemar",
+            "chi_square_proportions", "cohen_kappa", "gwet_ac1", "mcnemar",
             "paired_t_bonferroni", "resolve_and_repeat",
         ),
         "textmetrics": (
-            "ExternalScoreSidecar", "bleu", "embed_cosine", "exact_match",
+            "ExternalScoreSidecar", "bleu", "exact_match",
             "load_external_scores", "make_metric", "score_matrix",
         ),
     }.items()

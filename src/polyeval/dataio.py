@@ -50,7 +50,7 @@ RAW_SOURCES = ("convosense", "comfact", "cicero", "reflect", "generic")
 # source datasets collapse into single Cause/Effect/Prerequisite types;
 # isBefore/isAfter carry temporal order without causation and are excluded
 # (mapped to None).
-TYPE_SYNTHESIS: dict[str, InferenceType | None] = {
+_TYPE_SYNTHESIS: dict[str, InferenceType | None] = {
     "isBefore": None,
     "isAfter": None,
     "Causes": InferenceType.EFFECT,
@@ -74,14 +74,14 @@ TYPE_SYNTHESIS: dict[str, InferenceType | None] = {
     "HinderedBy": InferenceType.OBSTACLE,
 }
 # Canonical names map to themselves (already-unified / generic sources).
-TYPE_SYNTHESIS.update({t.value: t for t in InferenceType})
+_TYPE_SYNTHESIS.update({t.value: t for t in InferenceType})
 
 
-def map_type(label: str) -> InferenceType | None:
+def _map_type(label: str) -> InferenceType | None:
     """Map a source-specific type label to its canonical type, or to None
     for an excluded label; an unknown label is a ValidationError."""
     try:
-        return TYPE_SYNTHESIS[label]
+        return _TYPE_SYNTHESIS[label]
     except KeyError:
         raise ValidationError(f"unknown source type label {label!r}") from None
 
@@ -166,7 +166,7 @@ def normalize(raw: RawRecord, seed: int = 0) -> Example | None:
     Idempotent on already-unified records: existing "Speaker (A)"-style names
     are recognized and re-tagged identically.
     """
-    mapped = map_type(raw.type_label)
+    mapped = _map_type(raw.type_label)
     if mapped is None:
         return None
 
@@ -435,7 +435,3 @@ def write_files(texts: Iterable[tuple[str | Path, str]]) -> None:
     for path, text in in_place:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    write_files([(path, jsonl_text(records))])

@@ -42,7 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import FORMATS, GenerationMode, GenerationSet, check_shape, make_generation_set
 from .errors import PolyevalError, ValidationError
@@ -98,23 +98,6 @@ def _check_repetition_penalty(penalty: float) -> None:
         raise ValidationError("repetition penalty must be >= 1 and finite")
 
 
-def apply_repetition_penalty(
-    logprobs: Mapping[str, float], history: Iterable[str], penalty: float
-) -> dict[str, float]:
-    """Penalize tokens already generated: positive scores are divided by the
-    penalty, negative scores multiplied."""
-    _check_repetition_penalty(penalty)
-    if penalty == 1.0:
-        return dict(logprobs)
-    seen = set(history)
-    out = {}
-    for token, value in logprobs.items():
-        if token in seen:
-            value = _penalized(value, penalty)
-        out[token] = value
-    return out
-
-
 def _penalized(value: float, penalty: float) -> float:
     """A score of a token already generated, after the CTRL penalty."""
     return value / penalty if value > 0 else value * penalty
@@ -126,10 +109,12 @@ def _expand(scorer: TokenScorer, beams: list[tuple[tuple[str, ...], float]],
     candidates = []
     for tokens, logprob in beams:
         step = scorer.logprobs(tokens)
-        if repetition_penalty > 1.0:
-            step = apply_repetition_penalty(step, tokens, repetition_penalty)
+        seen = set(tokens) if repetition_penalty > 1.0 else ()
         for token in sorted(step):
-            candidates.append((tokens + (token,), logprob + step[token], token))
+            value = step[token]
+            if token in seen:
+                value = _penalized(value, repetition_penalty)
+            candidates.append((tokens + (token,), logprob + value, token))
     return candidates
 
 

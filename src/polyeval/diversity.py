@@ -129,23 +129,10 @@ def diversity_report(
     )
 
 
-def _tokens(text: str) -> list[str]:
-    return text.lower().split()
-
-
-def _ngram_types(text: str, n: int) -> set[tuple[str, ...]]:
-    toks = _tokens(text)
-    return {tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)}
-
-
-def _pct_unique_ngrams(inferences: Sequence[str], n: int) -> float | None:
-    """% of n-gram types that occur in exactly one inference of the example."""
-    per_inference = [_ngram_types(text, n) for text in inferences]
-    occurrence = Counter(g for types in per_inference for g in types)
-    if not occurrence:
-        return None
-    unique = sum(1 for count in occurrence.values() if count == 1)
-    return 100.0 * unique / len(occurrence)
+def _text_grams(text: str) -> tuple[int, frozenset[str], frozenset[tuple[str, str]]]:
+    """The word count, unigram types and bigram types of a text, lowercased."""
+    words = text.lower().split()
+    return len(words), frozenset(words), frozenset(zip(words, words[1:]))
 
 
 def _mean(values: list[float]) -> float | None:
@@ -166,33 +153,40 @@ def ngram_uniqueness(examples: Sequence[Example]) -> dict[str, dict]:
     for example in examples:
         by_type.setdefault(example.inference_type.value, []).append(example)
 
+    # each distinct text once: grams[text][0] is its word count, and
+    # grams[text][n] its set of n-gram types for n = 1, 2
+    grams = {text: _text_grams(text)
+             for text in dict.fromkeys(ref for ex in examples for ref in ex.references)}
     table: dict[str, dict] = {}
     for itype in sorted(by_type):
         members = by_type[itype]
         inferences = [ref for ex in members for ref in ex.references]
         poly = [ex for ex in members if len(ex.references) >= 2]
         poly_refs = [ref for ex in poly for ref in ex.references]
-        u1_pcts = [
-            v for ex in poly if (v := _pct_unique_ngrams(ex.references, 1)) is not None
-        ]
-        u2_pcts = [
-            v for ex in poly if (v := _pct_unique_ngrams(ex.references, 2)) is not None
-        ]
+        # % of an example's n-gram types that occur in exactly one of its
+        # inferences; an example without an n-gram gives none
+        unique_pcts: dict[int, list[float]] = {1: [], 2: []}
+        for ex in poly:
+            for n, pcts in unique_pcts.items():
+                occurrence = Counter(g for ref in ex.references for g in grams[ref][n])
+                if occurrence:
+                    unique = sum(1 for count in occurrence.values() if count == 1)
+                    pcts.append(100.0 * unique / len(occurrence))
         counts = [len(ex.references) for ex in members]
         poly_counts = [len(ex.references) for ex in poly]
         table[itype] = {
             "examples": len(members),
-            "words": sum(len(_tokens(t)) for t in inferences) / len(inferences),
+            "words": sum(grams[t][0] for t in inferences) / len(inferences),
             "inferences_total": len(inferences),
             "inferences_distinct": len(set(inferences)),
             "inferences_mean": sum(counts) / len(counts),
             "inferences_min": min(poly_counts) if poly_counts else min(counts),
             "inferences_max": max(poly_counts) if poly_counts else max(counts),
-            "u1_count": len({g for t in inferences for g in _ngram_types(t, 1)}),
-            "u2_count": len({g for t in inferences for g in _ngram_types(t, 2)}),
+            "u1_count": len(set().union(*(grams[t][1] for t in inferences))),
+            "u2_count": len(set().union(*(grams[t][2] for t in inferences))),
             "poly_examples": len(poly),
-            "u1_pct": _mean(u1_pcts),
-            "u2_pct": _mean(u2_pcts),
+            "u1_pct": _mean(unique_pcts[1]),
+            "u2_pct": _mean(unique_pcts[2]),
             "ul_pct": (
                 100.0 * len(set(poly_refs)) / len(poly_refs) if poly_refs else None
             ),

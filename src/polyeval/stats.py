@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import LABEL_SETS, NOVELTY_LABELS, REASONABILITY_LABELS  # noqa: F401
+from .core import LABEL_SETS
 from .errors import PolyevalError, ValidationError
 
 
@@ -79,7 +79,7 @@ def cohen_kappa(pairs: Sequence[tuple[bool, bool]]) -> float:
     return (observed - expected) / (1 - expected)
 
 
-def chi2_sf(statistic: float, df: int) -> float:
+def _chi2_sf(statistic: float, df: int) -> float:
     """Upper tail of the chi-square distribution."""
     # imported here: scipy.special adds ~0.35 s to every command's start-up
     from scipy.special import gammaincc
@@ -111,14 +111,13 @@ def mcnemar(paired: Sequence[tuple[bool, bool]]) -> McNemarResult:
     """
     if not paired:
         raise ValidationError("no paired judgments")
-    b = sum(1 for x, y in paired if x and not y)
-    c = sum(1 for x, y in paired if not x and y)
+    _, b, c, _ = _agreement_counts(paired)
     if b + c == 0:
         raise PolyevalError("all pairs agree; McNemar's test is undefined")
     statistic = (b - c) ** 2 / (b + c)
     return McNemarResult(
         statistic=statistic,
-        p_value=chi2_sf(statistic, df=1),
+        p_value=_chi2_sf(statistic, df=1),
         b=b,
         c=c,
         discordance=(b + c) / len(paired),
@@ -208,7 +207,7 @@ def chi_square_proportions(
         statistic += (s - expected_s) ** 2 / expected_s
         statistic += ((t - s) - expected_f) ** 2 / expected_f
     df = len(trials) - 1
-    return statistic, chi2_sf(statistic, df)
+    return statistic, _chi2_sf(statistic, df)
 
 
 @dataclass(frozen=True)

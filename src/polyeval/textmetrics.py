@@ -172,7 +172,7 @@ def _cosine_matrix(
     return np.vecdot(u[:, None, :], v[None, :, :]) / np.multiply.outer(nu, nv)
 
 
-def embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
+def _embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
     """Cosine similarity between the stored vectors of the two texts."""
     return _cosine(_embedding(candidate, store), _embedding(reference, store))
 
@@ -184,7 +184,7 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
     if metric_id == "embed":
         if embeddings is None:
             raise ValidationError("embed metric requires an embedding store")
-        metric = functools.partial(embed_cosine, store=embeddings)
+        metric = functools.partial(_embed_cosine, store=embeddings)
         metric.prepare = functools.partial(_embedding, store=embeddings)
         metric.compare = _cosine
         metric.compare_matrix = _cosine_matrix

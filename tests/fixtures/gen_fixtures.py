@@ -20,7 +20,7 @@ import numpy as np
 FIXTURES = Path(__file__).resolve().parent
 sys.path.insert(0, str(FIXTURES.parent))  # for pipeline_steps
 
-from pipeline_steps import PIPELINE, run_pipeline  # noqa: E402
+from pipeline_steps import PIPELINE, run_pipeline, write_jsonl  # noqa: E402
 
 RAW_RECORDS = [
     {
@@ -260,15 +260,6 @@ def fixture_embedding(text: str) -> list[float]:
     jitter = np.asarray(hash_vector(text))
     vec = base + 0.12 * jitter / np.linalg.norm(jitter)
     return [round(float(x), 6) for x in vec]
-
-
-def write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for rec in records:
-            handle.write(
-                json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-            )
-            handle.write("\n")
 
 
 def build_embeddings(generations_path: Path, out_path: Path) -> None:

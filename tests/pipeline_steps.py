@@ -5,6 +5,9 @@ acceptance suite, which re-runs every step in a scratch directory and
 compares all outputs byte-for-byte against the committed golden files.
 All paths are relative: steps must run with the working directory set to a
 folder containing INPUT_FILES.
+
+``write_jsonl`` is the one JSONL writer of the tests and the fixture
+generator: canonical lines, written all or nothing as the CLI writes.
 """
 
 INPUT_FILES = [
@@ -143,3 +146,9 @@ def run_pipeline(workdir):
     finally:
         os.chdir(cwd)
     return results
+
+
+def write_jsonl(path, records) -> None:
+    from polyeval.dataio import jsonl_text, write_files
+
+    write_files([(path, jsonl_text(records))])

@@ -14,7 +14,7 @@ import pytest
 
 from polyeval.assignment import solve_max
 from polyeval.core import EvalConfig, InferenceType, Turn, Example, make_generation_set
-from polyeval.dataio import RawRecord, TYPE_SYNTHESIS, map_type, normalize
+from polyeval.dataio import RawRecord, _TYPE_SYNTHESIS, normalize
 from polyeval.decode import (
     BeamConfig,
     diverse_beam_search,
@@ -365,13 +365,12 @@ def test_normalization_criterion():
     )
     assert named.references == ("the speaker feels proud",)
 
-    for label, target in TYPE_SYNTHESIS.items():
-        assert map_type(label) is target
-    assert map_type("isBefore") is None
-    assert map_type("isAfter") is None
+    for label, target in _TYPE_SYNTHESIS.items():
+        example = normalize(RawRecord("x", "comfact", (("", "hi"),), label, ("y",)))
+        assert (None if example is None else example.inference_type) is target
     for label in ("isBefore", "isAfter"):
-        assert normalize(RawRecord("x", "comfact", (("", "hi"),), label, ("y",))) is None
-    return f"{len(TYPE_SYNTHESIS)} labels mapped"
+        assert _TYPE_SYNTHESIS[label] is None
+    return f"{len(_TYPE_SYNTHESIS)} labels mapped"
 
 
 # --- 11: end-to-end golden run --------------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 from polyeval import cli
 from polyeval.cli import run
 from polyeval.core import validate_generation_set
-from polyeval.dataio import read_jsonl, text_key, write_jsonl
+from polyeval.dataio import read_jsonl, text_key
 from polyeval.decode import NgramLM
 from polyeval.stats import cohen_kappa, gwet_ac1
+
+from pipeline_steps import write_jsonl
 
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"

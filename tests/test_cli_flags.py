@@ -25,8 +25,10 @@ import pytest
 from polyeval.cli import RANGES, build_parser, run
 from polyeval.core import FORMATS, describe
 from polyeval.core import validate_example, validate_generation_set
-from polyeval.dataio import read_jsonl, write_jsonl
+from polyeval.dataio import read_jsonl
 from polyeval.textmetrics import bleu, score_matrix
+
+from pipeline_steps import write_jsonl
 
 GOLDEN = str(Path(__file__).resolve().parent / "fixtures" / "golden")
 UNIFIED = f"{GOLDEN}/unified.jsonl"

@@ -7,17 +7,18 @@ import pytest
 from polyeval.core import InferenceType, make_generation_set
 from polyeval.dataio import (
     RawRecord,
-    TYPE_SYNTHESIS,
+    _TYPE_SYNTHESIS,
+    _map_type,
     accumulate_runs,
     load_embeddings,
-    map_type,
     normalize,
     text_key,
     validate_raw_record,
     write_files,
-    write_jsonl,
 )
 from polyeval.errors import PolyevalError, ValidationError
+
+from pipeline_steps import write_jsonl
 
 
 def raw(utterances, inferences=("x",), label="Desire", example_id="r1",
@@ -157,21 +158,21 @@ def test_validate_raw_record_defaults_source():
     ],
 )
 def test_map_type_synthesis(label, expected):
-    assert map_type(label) is expected
+    assert _map_type(label) is expected
 
 
 def test_map_type_exclusions_and_identity():
-    assert map_type("isBefore") is None
-    assert map_type("isAfter") is None
+    assert _map_type("isBefore") is None
+    assert _map_type("isAfter") is None
     for itype in InferenceType:
-        assert map_type(itype.value) is itype
+        assert _map_type(itype.value) is itype
     with pytest.raises(ValidationError, match="unknown source type label 'nope'"):
-        map_type("nope")
+        _map_type("nope")
 
 
 def test_synthesis_map_is_deterministic_total():
-    for label in TYPE_SYNTHESIS:
-        assert map_type(label) is map_type(label)
+    for label in _TYPE_SYNTHESIS:
+        assert _map_type(label) is _map_type(label)
 
 
 # --- run accumulation --------------------------------------------------------

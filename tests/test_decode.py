@@ -12,7 +12,6 @@ from polyeval.decode import (
     DecodedSequence,
     NgramLM,
     ParsedSequence,
-    apply_repetition_penalty,
     diverse_beam_search,
     format_polymorphic,
     pack_runs,
@@ -202,14 +201,15 @@ def test_manual_trace_width_one_groups():
 
 
 def test_repetition_penalty_rules():
-    logits = {"a": -1.0, "b": 0.5, "c": -2.0}
-    assert apply_repetition_penalty(logits, {"a", "b"}, 1.0) == logits
-    out = apply_repetition_penalty(logits, {"a", "b"}, 5.0)
-    assert out["a"] == -5.0  # negative scores are multiplied
-    assert out["b"] == 0.1  # positive scores are divided
-    assert out["c"] == -2.0  # absent from history: unchanged
-    with pytest.raises(ValidationError):
-        apply_repetition_penalty(logits, set(), 0.5)
+    assert decode._penalized(-1.0, 1.0) == -1.0
+    assert decode._penalized(0.5, 1.0) == 0.5
+    assert decode._penalized(-1.0, 5.0) == -5.0  # negative scores are multiplied
+    assert decode._penalized(0.5, 5.0) == 0.1  # positive scores are divided
+    lm = lm_of(1, {(): {"a": 0.5, END: 0.5}})
+    with pytest.raises(ValidationError, match="repetition penalty must be >= 1"):
+        BeamConfig(repetition_penalty=0.5)
+    with pytest.raises(ValidationError, match="repetition penalty must be >= 1"):
+        list(sample_many(lm, [0], 1, repetition_penalty=0.5))
 
 
 def test_repetition_penalty_steers_beam():
@@ -401,10 +401,11 @@ def one_run_at_a_time(scorer, n, temperature, seed, salt, max_len, penalty):
         logprob = 0.0
         finished = False
         for _ in range(max_len):
-            step_map = scorer.logprobs(tokens)
-            if penalty > 1.0:
-                step_map = apply_repetition_penalty(step_map, tokens, penalty)
-            step = sorted(step_map.items())
+            step = sorted(scorer.logprobs(tokens).items())
+            # the CTRL penalty of a token already generated: a positive
+            # log-probability is divided by it, a negative one multiplied
+            step = [(t, (v / penalty if v > 0 else v * penalty) if t in tokens else v)
+                    for t, v in step]
             if temperature == 0:
                 token, value = max(step, key=lambda kv: kv[1])
             else:

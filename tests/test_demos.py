@@ -10,7 +10,8 @@ import pytest
 
 import polyeval
 from polyeval import assignment
-from polyeval.dataio import write_jsonl
+
+from pipeline_steps import write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(polyeval.__file__).resolve().parent.parent

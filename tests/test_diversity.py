@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyeval.core import InferenceType, Turn, Example
@@ -265,3 +267,81 @@ def test_overall_row_macro_averages_types():
     overall = table["_overall"]
     assert overall["u1_pct"] == pytest.approx((100.0 + 0.0) / 2, abs=1e-9)
     assert overall["examples"] == 2
+
+
+def test_one_token_texts_have_no_bigram():
+    row = ngram_uniqueness([example_of("e", ["a", "B", "b"])])["Desire"]
+    assert row["u2_count"] == 0
+    assert row["u2_pct"] is None
+    assert row["u1_pct"] == pytest.approx(50.0, abs=1e-9)  # "b" is in two of them
+
+
+def brute_force_uniqueness(examples):
+    """ngram_uniqueness restated: every text's n-gram set is built anew,
+    per n and at each use."""
+    def types(text, n):
+        toks = text.lower().split()
+        return {tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)}
+
+    def pct_unique(references, n):
+        occurrence = Counter(g for text in references for g in types(text, n))
+        if not occurrence:
+            return None
+        return 100.0 * sum(1 for c in occurrence.values() if c == 1) / len(occurrence)
+
+    def mean(values):
+        values = [v for v in values if v is not None]
+        return sum(values) / len(values) if values else None
+
+    table = {}
+    for itype in sorted({ex.inference_type.value for ex in examples}):
+        members = [ex for ex in examples if ex.inference_type.value == itype]
+        texts = [text for ex in members for text in ex.references]
+        poly = [ex for ex in members if len(ex.references) >= 2]
+        poly_texts = [text for ex in poly for text in ex.references]
+        counts = [len(ex.references) for ex in poly or members]
+        table[itype] = {
+            "examples": len(members),
+            "words": sum(len(text.split()) for text in texts) / len(texts),
+            "inferences_total": len(texts),
+            "inferences_distinct": len(set(texts)),
+            "inferences_mean": len(texts) / len(members),
+            "inferences_min": min(counts),
+            "inferences_max": max(counts),
+            "u1_count": len({g for text in texts for g in types(text, 1)}),
+            "u2_count": len({g for text in texts for g in types(text, 2)}),
+            "poly_examples": len(poly),
+            "u1_pct": mean([pct_unique(ex.references, 1) for ex in poly]),
+            "u2_pct": mean([pct_unique(ex.references, 2) for ex in poly]),
+            "ul_pct": 100.0 * len(set(poly_texts)) / len(poly_texts) if poly_texts else None,
+        }
+    rows = list(table.values())
+    overall = {key: sum(row[key] for row in rows)
+               for key in ("examples", "inferences_total", "inferences_distinct",
+                           "poly_examples")}
+    for key in ("words", "inferences_mean", "u1_count", "u2_count", "u1_pct", "u2_pct",
+                "ul_pct"):
+        overall[key] = mean([row[key] for row in rows])
+    table["_overall"] = overall
+    return table
+
+
+# few words, so texts and their n-grams repeat within and across examples
+reference_texts = st.lists(st.sampled_from(["a", "b", "A", "c"]), min_size=1,
+                           max_size=4).map(" ".join)
+corpora = st.lists(
+    st.tuples(st.sampled_from([InferenceType.DESIRE, InferenceType.EFFECT,
+                               InferenceType.CAUSE]),
+              st.lists(reference_texts, min_size=1, max_size=4)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora)
+@example([(InferenceType.DESIRE, ["a b", "a b", "A B c"])])  # a repeated reference
+@example([(InferenceType.DESIRE, ["a b c"]), (InferenceType.EFFECT, ["c"])])  # one each
+@example([(InferenceType.DESIRE, ["a", "b", "a"])])  # one-token texts: no bigram
+def test_ngram_uniqueness_equals_brute_force(corpus):
+    examples = [example_of(f"e{i}", references, itype)
+                for i, (itype, references) in enumerate(corpus)]
+    assert ngram_uniqueness(examples) == brute_force_uniqueness(examples)

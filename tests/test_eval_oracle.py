@@ -7,6 +7,10 @@ the per-pair ``bleu`` with the program: it scores a set by enumerating every
 injective map of outputs to references, and weights, moderates, averages and
 scales (x100) on its own.  Every corpus and per-example figure must agree
 with it at the report's 9 significant digits.
+
+Two invariances are checked against the report itself: the order of the
+records in the examples and generations files leaves its bytes unchanged,
+and a repeated output changes only its ``dropped_duplicate_outputs`` count.
 """
 import itertools
 import json
@@ -18,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyeval.cli import run
-from polyeval.dataio import write_jsonl
 from polyeval.textmetrics import bleu
+
+from pipeline_steps import write_jsonl
 
 VOCAB = ("they", "want", "rest", "feel", "proud", "home")
 TYPES = ("Desire", "Reaction")
@@ -81,20 +86,36 @@ def oracle(corpus, topk: int, rule: str) -> dict:
             "macro": sum(per_type.values()) / len(per_type)}
 
 
-def run_eval(directory: str, corpus, topk: int, flag: str, rule: str) -> dict:
-    examples, generations = (os.path.join(directory, n) for n in ("u.jsonl", "g.jsonl"))
-    write_jsonl(examples, [
-        {"example_id": f"e{i}", "type": itype, "references": references,
+def write_corpus(directory: str, corpus, example_order=None, generation_order=None,
+                 outputs_of=None) -> None:
+    """The examples and generations files of a corpus, their records in the
+    given orders, each example's outputs from ``outputs_of`` if given."""
+    example_order = example_order or range(len(corpus))
+    generation_order = generation_order or range(len(corpus))
+    write_jsonl(os.path.join(directory, "u.jsonl"), [
+        {"example_id": f"e{i}", "type": corpus[i][0], "references": corpus[i][3],
          "dialogue": [{"speaker": "Listener (A)", "text": "hi"},
                       {"speaker": "Speaker (B)", "text": "they went home"}]}
-        for i, (itype, _, _, references) in enumerate(corpus)])
-    write_jsonl(generations, [{"example_id": f"e{i}", "mode": mode, "runs": [outputs]}
-                              for i, (_, mode, outputs, _) in enumerate(corpus)])
+        for i in example_order])
+    write_jsonl(os.path.join(directory, "g.jsonl"), [
+        {"example_id": f"e{i}", "mode": corpus[i][1],
+         "runs": [outputs_of[i] if outputs_of else corpus[i][2]]}
+        for i in generation_order])
+
+
+def eval_report(directory: str, topk: int, flag: str, rule: str) -> bytes:
+    """The report of ``eval`` on the corpus files of ``directory``."""
     report = os.path.join(directory, "r.json")
-    assert run(["eval", "--examples", examples, "--generations", generations,
+    assert run(["eval", "--examples", os.path.join(directory, "u.jsonl"),
+                "--generations", os.path.join(directory, "g.jsonl"),
                 "--topk", str(topk), flag, rule, "--report", report]) == 0
-    with open(report, encoding="utf-8") as handle:
-        return json.load(handle)
+    with open(report, "rb") as handle:
+        return handle.read()
+
+
+def run_eval(directory: str, corpus, topk: int, flag: str, rule: str) -> dict:
+    write_corpus(directory, corpus)
+    return json.loads(eval_report(directory, topk, flag, rule))
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,3 +143,49 @@ def test_eval_matches_brute_force(corpus):
             for itype, value in want["per_type"].items():
                 assert agree(report["per_type"][itype], 100 * value), (case, itype)
                 assert agree(report["raw"]["per_type"][itype], value), (case, itype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=corpora, data=st.data())
+def test_eval_report_ignores_record_order(corpus, data):
+    example_order = data.draw(st.permutations(range(len(corpus))), "examples file order")
+    generation_order = data.draw(st.permutations(range(len(corpus))),
+                                 "generations file order")
+    with tempfile.TemporaryDirectory() as directory:
+        for topk, flag, rule in RULES:
+            write_corpus(directory, corpus)
+            in_order = eval_report(directory, topk, flag, rule)
+            write_corpus(directory, corpus, example_order, generation_order)
+            assert eval_report(directory, topk, flag, rule) == in_order, (topk, rule)
+
+
+def with_dropped(report: dict, added: int) -> dict:
+    """The report with ``added`` more duplicate outputs dropped."""
+    prefix = "dropped_duplicate_outputs:"
+    warnings = [w for w in report["warnings"] if not w.startswith(prefix)]
+    dropped = added + sum(int(w.removeprefix(prefix)) for w in report["warnings"]
+                          if w.startswith(prefix))
+    if dropped:
+        warnings.append(f"{prefix}{dropped}")
+    return dict(report, warnings=sorted(warnings))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=corpora, data=st.data())
+def test_a_repeated_output_only_adds_to_the_dropped_count(corpus, data):
+    # each repeat goes after the first occurrence of its output, which the
+    # loader keeps
+    outputs_of, added = [], 0
+    for _, _, outputs, _ in corpus:
+        outputs = list(outputs)
+        for source in data.draw(st.lists(st.sampled_from(outputs), max_size=3)):
+            at = data.draw(st.integers(outputs.index(source) + 1, len(outputs)))
+            outputs.insert(at, source)
+            added += 1
+        outputs_of.append(outputs)
+    with tempfile.TemporaryDirectory() as directory:
+        for topk, flag, rule in RULES:
+            write_corpus(directory, corpus)
+            want = with_dropped(json.loads(eval_report(directory, topk, flag, rule)), added)
+            write_corpus(directory, corpus, outputs_of=outputs_of)
+            assert json.loads(eval_report(directory, topk, flag, rule)) == want, (topk, rule)

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from polyeval.cli import run
 from polyeval.core import FORMATS, REQUIRED
-from polyeval.dataio import text_key, write_jsonl
+from polyeval.dataio import text_key
 from polyeval.stats import LABEL_SETS
+
+from pipeline_steps import write_jsonl
 
 OUTPUTS = ["they feel proud", "nothing matches"]
 REFERENCES = ["they feel proud", "they want rest"]

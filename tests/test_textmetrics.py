@@ -10,7 +10,6 @@ from polyeval.dataio import EmbeddingStore, text_key
 from polyeval.errors import PolyevalError, ValidationError
 from polyeval.textmetrics import (
     bleu,
-    embed_cosine,
     exact_match,
     make_metric,
     score_matrix,
@@ -85,10 +84,10 @@ def test_bleu_empty_text_rejected():
 
 
 def test_cosine_fixtures():
-    store = store_of(i="1 0".split(), j="0 1".split(), d=["1", "1"])
-    assert embed_cosine("i", "i", store) == pytest.approx(1.0, abs=1e-12)
-    assert embed_cosine("i", "j", store) == pytest.approx(0.0, abs=1e-12)
-    assert embed_cosine("d", "i", store) == pytest.approx(0.7071, abs=1e-4)
+    cosine = make_metric("embed", store_of(i="1 0".split(), j="0 1".split(), d=["1", "1"]))
+    assert cosine("i", "i") == pytest.approx(1.0, abs=1e-12)
+    assert cosine("i", "j") == pytest.approx(0.0, abs=1e-12)
+    assert cosine("d", "i") == pytest.approx(0.7071, abs=1e-4)
 
 
 def test_cosine_symmetric_and_scale_invariant():
@@ -96,21 +95,17 @@ def test_cosine_symmetric_and_scale_invariant():
     for _ in range(50):
         u = rng.normal(size=4)
         v = rng.normal(size=4)
-        s = store_of(a=u, b=v, big_a=u * 37.5, big_b=v * 0.004)
-        assert embed_cosine("a", "b", s) == pytest.approx(
-            embed_cosine("b", "a", s), abs=1e-12
-        )
-        assert embed_cosine("big_a", "big_b", s) == pytest.approx(
-            embed_cosine("a", "b", s), abs=1e-9
-        )
+        cosine = make_metric("embed", store_of(a=u, b=v, big_a=u * 37.5, big_b=v * 0.004))
+        assert cosine("a", "b") == pytest.approx(cosine("b", "a"), abs=1e-12)
+        assert cosine("big_a", "big_b") == pytest.approx(cosine("a", "b"), abs=1e-9)
 
 
 def test_cosine_errors():
-    store = store_of(a=[1.0, 0.0], z=[0.0, 0.0])
+    cosine = make_metric("embed", store_of(a=[1.0, 0.0], z=[0.0, 0.0]))
     with pytest.raises(PolyevalError, match="no embedding for text 'missing'"):
-        embed_cosine("a", "missing", store)
+        cosine("a", "missing")
     with pytest.raises(PolyevalError, match="zero-norm embedding for 'z'"):
-        embed_cosine("a", "z", store)
+        cosine("a", "z")
 
 
 # --- score matrices -------------------------------------------------------------
@@ -138,7 +133,7 @@ def test_score_matrix_matches_direct_calls_elementwise():
     matrix = score_matrix(outs, refs, metric)
     for i, o in enumerate(outs):
         for j, r in enumerate(refs):
-            assert matrix[i, j] == embed_cosine(o, r, store)
+            assert matrix[i, j] == metric(o, r)
 
 
 def test_score_matrix_annotates_failures():
