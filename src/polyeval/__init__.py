@@ -13,7 +13,7 @@ name and module: ``cli`` takes each subcommand's names through it.
 A name is public when something outside its module names it (another
 module of ``src/``, a demo, the benchmark or the README), or when an
 annotation of another public name does (a parameter, a return type or a
-dataclass field).  ``accumulate_runs`` is the one exception: nothing calls
+record field).  ``accumulate_runs`` is the one exception: nothing calls
 it yet, and whether ``eval`` uses it or it goes is still open.
 """
 

@@ -32,9 +32,8 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PolyevalError, ValidationError
 
@@ -44,8 +43,7 @@ if TYPE_CHECKING:  # numpy is imported by the functions that make arrays
 _TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
     objective: float  # optimum(matrix); the pairs reach it within 1e-9
     unique: bool  # no other assignment is within 1e-9 of the optimum

@@ -1,15 +1,14 @@
 """Domain model: dialogues, inference types, examples, generation sets.
 
-All types are immutable after construction and safe to share across threads.
-Texts are whitespace-normalized (trim, collapse runs, Unicode NFC) when they
-enter the model; case is preserved.
+Records are immutable NamedTuples, so a record equals a plain tuple of the
+same values and can be unpacked.  Texts are whitespace-normalized (trim,
+collapse runs, Unicode NFC) when they enter the model; case is preserved.
 """
 from __future__ import annotations
 
 import enum
 import json
 import unicodedata
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -115,8 +114,7 @@ INFERENCE_PROMPTS: dict[InferenceType, tuple[str, str]] = {
     ),
 }
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(NamedTuple):
     speaker_tag: str
     text: str
 
@@ -127,8 +125,7 @@ class GenerationMode(str, enum.Enum):
     POLYMORPHIC = "polymorphic"
 
 
-@dataclass(frozen=True)
-class Example:
+class Example(NamedTuple):
     """One evaluation unit: a dialogue, an inference question, and references.
     The inference target is always the final turn."""
 
@@ -138,8 +135,7 @@ class Example:
     references: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GenerationSet:
+class GenerationSet(NamedTuple):
     """A model's outputs for one example, possibly across multiple runs."""
 
     example_id: str
@@ -147,18 +143,22 @@ class GenerationSet:
     runs: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation settings; ``selection`` applies when top_k == 1 and
-    ``matching`` when top_k > 1."""
-
+class _EvalConfigFields(NamedTuple):
     top_k: int = 1
     selection: str = "maximum"  # maximum | order
     matching: str = "bipartite"  # bipartite | maximum
     coverage_cap: bool = True
     seed: int = 0
 
-    def __post_init__(self):
+
+class EvalConfig(_EvalConfigFields):
+    """Evaluation settings; ``selection`` applies when top_k == 1 and
+    ``matching`` when top_k > 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.top_k < 1:
             raise ValidationError(f"top_k must be positive, got {self.top_k}")
         if self.selection not in ("maximum", "order"):
@@ -167,6 +167,12 @@ class EvalConfig:
             raise ValidationError(f"unknown matching {self.matching!r}")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which skips __new__ and its checks
+        return cls(*iterable)
 
 
 # --- input formats ----------------------------------------------------------

@@ -20,9 +20,8 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     Example,
@@ -86,8 +85,7 @@ def _map_type(label: str) -> InferenceType | None:
         raise ValidationError(f"unknown source type label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     example_id: str
     source: str
     utterances: tuple[tuple[str, str], ...]  # (speaker_name, text)

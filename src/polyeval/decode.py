@@ -40,7 +40,6 @@ import math
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence
 
@@ -56,15 +55,19 @@ class TokenScorer(Protocol):
     def logprobs(self, prefix: tuple[str, ...]) -> dict[str, float]: ...
 
 
-@dataclass(frozen=True)
-class BeamConfig:
+class _BeamConfigFields(NamedTuple):
     beams: int = 10
     groups: int = 1
     diversity_penalty: float = 0.0
     repetition_penalty: float = 1.0
     max_len: int = 32
 
-    def __post_init__(self):
+
+class BeamConfig(_BeamConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.beams < 1 or self.groups < 1:
             raise ValidationError("beams and groups must be >= 1")
         if self.beams % self.groups != 0:
@@ -76,10 +79,15 @@ class BeamConfig:
         _check_repetition_penalty(self.repetition_penalty)
         if self.max_len < 1:
             raise ValidationError("max_len must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which skips __new__ and its checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DecodedSequence:
+class DecodedSequence(NamedTuple):
     tokens: tuple[str, ...]  # includes the end token when finished
     text: str  # tokens joined by spaces, end token omitted
     logprob: float  # cumulative search score
@@ -469,8 +477,7 @@ _LIST_BOUNDARY = re.compile(r"(?:^\s*|;\s*)\((\d+)\)\s*")
 _BARE_MARKER = re.compile(r"\((\d+)\)\s*")
 
 
-@dataclass(frozen=True)
-class ParsedSequence:
+class ParsedSequence(NamedTuple):
     items: tuple[str, ...]
     warnings: tuple[str, ...]
 

@@ -4,9 +4,8 @@ against gold clusterings, and corpus n-gram uniqueness statistics.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import Example, validate_clustering
 from .dataio import EmbeddingStore
@@ -92,8 +91,7 @@ def bcubed(
     return p, r, f1
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(NamedTuple):
     avg_clusters: float
     pct_unique: float  # mean % of outputs that sit alone in their cluster
     avg_words: float

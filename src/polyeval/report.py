@@ -22,7 +22,7 @@ def _render(value, pieces: list[str]) -> None:
         pieces.append(format(value, ".9g"))
     elif isinstance(value, str):
         pieces.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):  # not a record, which is a tuple too
         pieces.append("[")
         for i, item in enumerate(value):
             if i:

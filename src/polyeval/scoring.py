@@ -15,8 +15,7 @@ so the figures do not depend on the order the examples come in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .assignment import optimum
 from .core import (
@@ -125,8 +124,7 @@ def polyagg(
     raise ValidationError(f"unknown matching {matching!r}")
 
 
-@dataclass(frozen=True)
-class ExampleScore:
+class ExampleScore(NamedTuple):
     example_id: str
     inference_type: InferenceType
     score: float  # top-1 score, or set score under the matching mode
@@ -140,8 +138,7 @@ class ExampleScore:
         return self.score * self.coverage * self.weight
 
 
-@dataclass(frozen=True)
-class CorpusScore:
+class CorpusScore(NamedTuple):
     """Weighted corpus result.
 
     ``overall`` is the sum of example contributions divided by the total

@@ -9,8 +9,7 @@ no table lookups or external services.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import LABEL_SETS
 from .errors import PolyevalError, ValidationError
@@ -94,8 +93,7 @@ def _t_sf_two_sided(t: float, df: int) -> float:
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
-@dataclass(frozen=True)
-class McNemarResult:
+class McNemarResult(NamedTuple):
     statistic: float
     p_value: float
     b: int  # first-side-only positives
@@ -124,8 +122,7 @@ def mcnemar(paired: Sequence[tuple[bool, bool]]) -> McNemarResult:
     )
 
 
-@dataclass(frozen=True)
-class RepeatReport:
+class RepeatReport(NamedTuple):
     mean_rate_x: float
     mean_rate_y: float
     mean_discordance: float
@@ -210,8 +207,7 @@ def chi_square_proportions(
     return statistic, _chi2_sf(statistic, df)
 
 
-@dataclass(frozen=True)
-class PairedT:
+class PairedT(NamedTuple):
     name_x: str
     name_y: str
     t: float

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from polyeval.core import (
     normalize_text,
     validate_example,
 )
+from polyeval.decode import BeamConfig
 from polyeval.errors import ValidationError
 
 
@@ -136,3 +138,20 @@ def test_eval_config_validation():
         EvalConfig(matching="greedy")
     with pytest.raises(ValidationError):
         EvalConfig(seed=-1)
+
+
+TOP_K, PENALTY = "top_k must be positive, got 0", "repetition penalty must be >= 1 and finite"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EvalConfig(top_k=0), TOP_K),
+    (lambda: EvalConfig()._replace(top_k=0), TOP_K),
+    (lambda: EvalConfig._make([0, "maximum", "bipartite", True, 0]), TOP_K),
+    (lambda: BeamConfig(repetition_penalty=0.5), PENALTY),
+    (lambda: BeamConfig()._replace(repetition_penalty=0.5), PENALTY),
+    (lambda: BeamConfig._make([10, 1, 0.0, 0.5, 32]), PENALTY),
+], ids=["eval_new", "eval_replace", "eval_make", "beam_new", "beam_replace", "beam_make"])
+def test_a_validated_config_is_checked_however_it_is_built(build, message):
+    # _replace builds through _make, and _make does not call __new__
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()

@@ -115,6 +115,32 @@ def test_each_command_loads_only_the_heavy_modules_it_uses(tmp_path, argv, loade
     assert result.stderr == f"loaded: {loaded} layers: {sorted(STARTUP + layers)}\n"
 
 
+# runs ``python -m polyeval ARGS`` and, at exit, prints which of dataclasses
+# and inspect the command loaded
+STDLIB_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print([m for m in ("dataclasses", "inspect") if m in sys.modules],
+                              file=sys.stderr))
+sys.argv[0] = "polyeval"
+runpy.run_module("polyeval", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["normalize", "--in", str(GOLDEN / "raw_corpus.jsonl"), "--source", "generic",
+     "--out", "u.jsonl"],
+    ["datastats", "--examples", EXAMPLES],
+    DECODE + ["--strategy", "beam"],
+    DECODE + ["--strategy", "dbs", "--groups", "10", "--penalty", "0.5"],
+], ids=["version", "normalize", "datastats", "decode_beam", "decode_dbs"])
+def test_a_command_without_numpy_starts_without_dataclasses_or_inspect(tmp_path, argv):
+    # records are NamedTuples; numpy imports inspect itself
+    result = run_python(["-c", STDLIB_PROBE, *argv], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "[]\n"
+
+
 # a fixed batch of tie-dense matrices, drawn in a probe and in this process
 TIE_DENSE = """
 rng = np.random.default_rng(5)

@@ -1,7 +1,7 @@
 """The two lazy name tables, the package's public names and cli's
 per-subcommand names, each resolved on first use (PEP 562); the rule that
-decides which names are public; and a check that every import in ``src/``
-is used."""
+decides which names are public; and checks that every import in ``src/``
+is used and that none is of ``dataclasses``."""
 import ast
 import functools
 import importlib
@@ -102,6 +102,17 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name for name in imported - used if (path.stem, name) not in UNUSED_IMPORTS}
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses would bring inspect, ast and dis
+    # into every command's start-up
+    importers = {
+        path.name for path in SRC.glob("*.py") for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    }
+    assert not importers
 
 
 @pytest.mark.parametrize("name", sorted(polyeval._EXPORTS))
