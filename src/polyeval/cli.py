@@ -60,8 +60,8 @@ IMPORTS = {
     "eval": ("corpus_score", "load_external_scores", "make_metric"),
     "diversity": ("bcubed", "cluster_greedy", "diversity_report"),
     "datastats": ("ngram_uniqueness",),
-    "stats agree": ("binarize", "cohen_kappa", "gwet_ac1"),
-    "stats mcnemar": ("binarize", "resolve_and_repeat"),
+    "stats agree": ("cohen_kappa", "gwet_ac1"),
+    "stats mcnemar": ("resolve_and_repeat",),
     "stats prop": ("chi_square_proportions",),
     "stats ttest": ("paired_t_bonferroni",),
     "decode": ("BeamConfig", "diverse_beam_search", "load_ngram_lm", "pack_runs",
@@ -170,7 +170,6 @@ def _cmd_eval(args) -> tuple:
         selection=args.selection,
         matching=args.matching,
         coverage_cap=args.coverage_cap,
-        seed=args.seed,
     )
 
     warnings = []
@@ -273,24 +272,26 @@ def _cmd_datastats(args) -> tuple:
 
 
 def _load_annotations(path: str) -> dict:
-    """rows[(task, system)][item_id] -> {annotator: label}"""
+    """rows[(task, system)][item_id] -> {annotator: binarized label}"""
     def parse(record: dict) -> tuple:
         check_shape(record, FORMATS["annotations"])
         task, label = record["task"], record["label"]
         if label not in LABEL_SETS[task]:
             raise ValidationError(f"label {label!r} is not a {task} label")
-        return (task, record["system"], record["item_id"], record["annotator"]), label
+        return ((task, record["system"], record["item_id"], record["annotator"]),
+                LABEL_SETS[task][label])
 
-    labels = load_keyed(path, parse, "annotation")
-    if not labels:
+    judgments = load_keyed(path, parse, "annotation")
+    if not judgments:
         raise ValidationError(f"{path}: no annotation rows")
     rows: dict = {}
-    for (task, system, item_id, annotator), label in labels.items():
-        rows.setdefault((task, system), {}).setdefault(item_id, {})[annotator] = label
+    for (task, system, item_id, annotator), judgment in judgments.items():
+        rows.setdefault((task, system), {}).setdefault(item_id, {})[annotator] = judgment
     return rows
 
 
-def _paired_items(items: dict) -> list[tuple[str, str, str]]:
+def _paired_items(items: dict) -> list[tuple[bool, bool]]:
+    """The (A, B) judgment pairs of the items, in item order."""
     table = []
     for item_id in sorted(items):
         labels = items[item_id]
@@ -298,7 +299,7 @@ def _paired_items(items: dict) -> list[tuple[str, str, str]]:
             raise ValidationError(
                 f"item {item_id!r} needs exactly annotators A and B, has {sorted(labels)}"
             )
-        table.append((item_id, labels["A"], labels["B"]))
+        table.append((labels["A"], labels["B"]))
     return table
 
 
@@ -312,7 +313,7 @@ def _cmd_stats_agree(args) -> tuple:
                 continue
             for item_id, labels in items.items():
                 task_items[f"{system}:{item_id}"] = labels
-        pairs = [(a, b) for _, a, b in binarize(_paired_items(task_items))]
+        pairs = _paired_items(task_items)
         body[task] = {
             "ac1": gwet_ac1(pairs),
             "kappa": cohen_kappa(pairs),
@@ -335,9 +336,8 @@ def _cmd_stats_mcnemar(args) -> tuple:
         shared = sorted(set(x_items) & set(y_items))
         if not shared:
             raise ValidationError(f"task {task!r} has no items shared by X and Y")
-        x_side, y_side = (
-            [(a, b) for _, a, b in binarize(_paired_items({i: items[i] for i in shared}))]
-            for items in (x_items, y_items))
+        x_side, y_side = (_paired_items({i: items[i] for i in shared})
+                          for items in (x_items, y_items))
         result = resolve_and_repeat(
             x_side, y_side, repeats=args.repeats, seed=args.seed, alpha=args.alpha)
         body[task] = {

@@ -148,7 +148,6 @@ class _EvalConfigFields(NamedTuple):
     selection: str = "maximum"  # maximum | order
     matching: str = "bipartite"  # bipartite | maximum
     coverage_cap: bool = True
-    seed: int = 0
 
 
 class EvalConfig(_EvalConfigFields):
@@ -165,8 +164,6 @@ class EvalConfig(_EvalConfigFields):
             raise ValidationError(f"unknown selection {self.selection!r}")
         if self.matching not in ("bipartite", "maximum"):
             raise ValidationError(f"unknown matching {self.matching!r}")
-        if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
         return self
 
     @classmethod

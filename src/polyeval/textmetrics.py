@@ -5,12 +5,10 @@ built in (sentence BLEU and embedding cosine); externally computed scores
 (e.g. from a contextual-encoder metric) are injected through a sidecar file
 of per-example score matrices.
 
-A metric may also carry a per-text ``prepare(text)`` and a per-pair
-``compare(prepared_candidate, prepared_reference)``, with
-``metric(c, r) == compare(prepare(c), prepare(r))``, and a
-``compare_matrix`` that compares all prepared pairs of a matrix at once.
-``score_matrix`` prepares each distinct text once per matrix; both
-built-in metrics carry all three.
+A metric may also carry a per-text ``prepare(text)`` and a
+``compare_matrix`` of prepared candidates and references, with
+``metric(c, r) == compare_matrix([prepare(c)], [prepare(r)])[0][0]``, so
+each built-in metric (both carry the two) states its comparison once.
 
 BLEU follows Papineni et al., "BLEU: a method for automatic evaluation of
 machine translation" (ACL 2002), at sentence level with add-one smoothing
@@ -109,10 +107,6 @@ def _bleu_matrix(
     return rows
 
 
-def _bleu_compare(candidate: _BleuProfile, reference: _BleuProfile) -> float:
-    return _bleu_matrix([candidate], [reference])[0][0]
-
-
 def bleu(candidate: str, reference: str) -> float:
     """Sentence-level BLEU in [0, 1].
 
@@ -121,11 +115,10 @@ def bleu(candidate: str, reference: str) -> float:
     For n >= 2 a zero precision is smoothed to (matches + 1) / (possible + 1);
     unigram precision is never smoothed, so disjoint texts score 0.
     """
-    return _bleu_compare(_bleu_profile(candidate), _bleu_profile(reference))
+    return _bleu_matrix([_bleu_profile(candidate)], [_bleu_profile(reference)])[0][0]
 
 
-bleu.prepare, bleu.compare = _bleu_profile, _bleu_compare
-bleu.compare_matrix = _bleu_matrix
+bleu.prepare, bleu.compare_matrix = _bleu_profile, _bleu_matrix
 
 
 def exact_match(candidate: str, reference: str) -> float:
@@ -141,32 +134,24 @@ def _embedding(text: str, store: EmbeddingStore) -> _Embedded:
     return (text, *store.lookup_with_norm(text))
 
 
-def _cosine(candidate: _Embedded, reference: _Embedded) -> float:
-    cand_text, u, nu = candidate
-    ref_text, v, nv = reference
-    if nu == 0.0 or nv == 0.0:
-        raise PolyevalError(
-            f"zero-norm embedding for {(cand_text if nu == 0.0 else ref_text)!r}"
-        )
-    return float(u.dot(v) / (nu * nv))
-
-
 def _cosine_matrix(
     candidates: Sequence[_Embedded], references: Sequence[_Embedded]
-) -> np.ndarray | None:
-    """``_cosine`` of every pair as one matrix, or None if a norm is zero.
+) -> np.ndarray:
+    """Cosine of every (candidate, reference) pair; a zero norm raises, naming
+    the first zero-norm candidate, else the first zero-norm reference.
 
-    ``np.vecdot`` calls the same per-pair BLAS ddot as ``u.dot(v)``, and the
-    division is the same IEEE operation, so every cell is bit-identical to
-    ``_cosine`` (pinned by ``test_vecdot_equals_per_pair_dot``); a matrix
-    product or ``einsum`` sums in another order.
+    ``np.vecdot`` calls the same per-pair BLAS ddot as ``u.dot(v)``, so every
+    cell is bit-identical to ``u.dot(v) / (nu * nv)`` (pinned by
+    ``test_vecdot_equals_per_pair_dot``); a matrix product or ``einsum``
+    sums in another order.
     """
     import numpy as np
 
     nu = np.array([norm for _, _, norm in candidates])
     nv = np.array([norm for _, _, norm in references])
     if not (nu.all() and nv.all()):
-        return None
+        text = next(text for text, _, norm in (*candidates, *references) if norm == 0.0)
+        raise PolyevalError(f"zero-norm embedding for {text!r}")
     u = np.array([vector for _, vector, _ in candidates])
     v = np.array([vector for _, vector, _ in references])
     return np.vecdot(u[:, None, :], v[None, :, :]) / np.multiply.outer(nu, nv)
@@ -174,7 +159,8 @@ def _cosine_matrix(
 
 def _embed_cosine(candidate: str, reference: str, store: EmbeddingStore) -> float:
     """Cosine similarity between the stored vectors of the two texts."""
-    return _cosine(_embedding(candidate, store), _embedding(reference, store))
+    return float(_cosine_matrix(
+        [_embedding(candidate, store)], [_embedding(reference, store)])[0][0])
 
 
 def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Metric:
@@ -186,7 +172,6 @@ def make_metric(metric_id: str, embeddings: EmbeddingStore | None = None) -> Met
             raise ValidationError("embed metric requires an embedding store")
         metric = functools.partial(_embed_cosine, store=embeddings)
         metric.prepare = functools.partial(_embedding, store=embeddings)
-        metric.compare = _cosine
         metric.compare_matrix = _cosine_matrix
         return metric
     raise ValidationError(f"unknown metric id {metric_id!r}")
@@ -197,56 +182,51 @@ def score_matrix(
 ) -> np.ndarray:
     """|outputs| x |references| matrix of metric values.
 
-    Each distinct text is prepared once, at its first use in row-major order,
-    so a failure names the same cell as calling the metric pair by pair.
-
-    A metric may also carry ``compare_matrix(prepared_outputs,
-    prepared_references)``, which returns every cell at once as rows of
-    floats or an array, or None if one would fail.  Both built-in metrics
-    do: BLEU over an inverted n-gram index (``_bleu_matrix``), the embedding
-    cosine with one ``np.vecdot`` (``_cosine_matrix``).  When a prepare
-    fails or ``compare_matrix`` returns None, the pair-by-pair loop runs and
-    raises the error of the first failing cell; a text whose prepare failed
-    is not prepared again.  Hypothesis properties in
-    ``tests/test_textmetrics.py`` pin both paths of both metrics to pairwise
-    reference implementations, failures included.
+    Each distinct text is prepared once, outputs then references, and the
+    matrix is one ``compare_matrix`` call (BLEU: ``_bleu_matrix``, over an
+    inverted n-gram index; embedding cosine: ``_cosine_matrix``, one
+    ``np.vecdot``); a plain callable is called once per cell.  When a
+    prepare or the matrix fails, each cell is compared alone in row-major
+    order, a failed prepare raising its kept error first, so the error names
+    the same cell as calling the metric pair by pair.  Hypothesis properties
+    in ``tests/test_textmetrics.py`` pin both metrics to pairwise reference
+    implementations, failures included.
     """
     import numpy as np
 
     if not outputs or not references:
         raise ValidationError("score_matrix needs nonempty outputs and references")
-    prepare = getattr(metric, "prepare", lambda text: text)
-    compare = getattr(metric, "compare", metric)
-    compare_matrix = getattr(metric, "compare_matrix", None)
+
+    def plain(rows: list, columns: list) -> list[list[float]]:
+        return [[metric(out, ref) for ref in columns] for out in rows]
+
+    compare_matrix = getattr(metric, "compare_matrix", plain)
+    # a plain callable compares the texts themselves
+    prepare = None if compare_matrix is plain else getattr(metric, "prepare", None)
     prepared: dict[str, object] = {}  # each text's prepared form or its error
+    for text in dict.fromkeys((*outputs, *references)):
+        try:
+            prepared[text] = text if prepare is None else prepare(text)
+        except PolyevalError as exc:
+            prepared[text] = exc
 
-    def prepared_form(text: str) -> object:
-        if text not in prepared:
-            try:
-                prepared[text] = prepare(text)
-            except PolyevalError as exc:
-                prepared[text] = exc
-        return prepared[text]
+    def compare(rows: list, columns: list):
+        for form in (*rows, *columns):
+            if isinstance(form, PolyevalError):
+                raise form
+        return compare_matrix(rows, columns)
 
-    if compare_matrix is not None:
-        rows = [prepared_form(out) for out in outputs]
-        columns = [prepared_form(ref) for ref in references]
-        if not any(isinstance(form, PolyevalError) for form in (*rows, *columns)):
-            matrix = compare_matrix(rows, columns)
-            if matrix is not None:
-                return np.asarray(matrix, dtype=float)
-    matrix = np.empty((len(outputs), len(references)), dtype=float)
-    for i, out in enumerate(outputs):
-        for j, ref in enumerate(references):
-            try:
-                forms = prepared_form(out), prepared_form(ref)
-                for form in forms:
-                    if isinstance(form, PolyevalError):
-                        raise form
-                matrix[i, j] = compare(*forms)
-            except PolyevalError as exc:
-                raise type(exc)(f"{exc} (at output {i}, reference {j})") from exc
-    return matrix
+    rows, columns = [prepared[out] for out in outputs], [prepared[ref] for ref in references]
+    try:
+        return np.asarray(compare(rows, columns), dtype=float)
+    except PolyevalError:
+        for i, row in enumerate(rows):
+            for j, column in enumerate(columns):
+                try:
+                    compare([row], [column])
+                except PolyevalError as exc:
+                    raise type(exc)(f"{exc} (at output {i}, reference {j})") from exc
+        raise
 
 
 class ExternalScoreSidecar:

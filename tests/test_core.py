@@ -136,8 +136,6 @@ def test_eval_config_validation():
         EvalConfig(selection="best")
     with pytest.raises(ValidationError):
         EvalConfig(matching="greedy")
-    with pytest.raises(ValidationError):
-        EvalConfig(seed=-1)
 
 
 TOP_K, PENALTY = "top_k must be positive, got 0", "repetition penalty must be >= 1 and finite"
@@ -146,7 +144,7 @@ TOP_K, PENALTY = "top_k must be positive, got 0", "repetition penalty must be >=
 @pytest.mark.parametrize("build, message", [
     (lambda: EvalConfig(top_k=0), TOP_K),
     (lambda: EvalConfig()._replace(top_k=0), TOP_K),
-    (lambda: EvalConfig._make([0, "maximum", "bipartite", True, 0]), TOP_K),
+    (lambda: EvalConfig._make([0, "maximum", "bipartite", True]), TOP_K),
     (lambda: BeamConfig(repetition_penalty=0.5), PENALTY),
     (lambda: BeamConfig()._replace(repetition_penalty=0.5), PENALTY),
     (lambda: BeamConfig._make([10, 1, 0.0, 0.5, 32]), PENALTY),

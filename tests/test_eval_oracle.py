@@ -8,9 +8,11 @@ injective map of outputs to references, and weights, moderates, averages and
 scales (x100) on its own.  Every corpus and per-example figure must agree
 with it at the report's 9 significant digits.
 
-Two invariances are checked against the report itself: the order of the
+Three invariances are checked against the report itself: the order of the
 records in the examples and generations files leaves its bytes unchanged,
-and a repeated output changes only its ``dropped_duplicate_outputs`` count.
+so does the order of each example's references (up to the last digit under
+bipartite matching), and a repeated output changes only its
+``dropped_duplicate_outputs`` count.
 """
 import itertools
 import json
@@ -44,6 +46,17 @@ def agree(got, want) -> bool:
     if want == 0.0:
         return got == 0.0
     return abs(got - want) <= 10.0 ** (math.floor(math.log10(abs(want))) - 8)
+
+
+def figures_agree(got, want) -> bool:
+    """The same report, every float figure in it as ``agree`` says."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(figures_agree(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(figures_agree, got, want))
+    if isinstance(want, float):
+        return agree(got, want)
+    return got == want
 
 
 def set_score(matrix, matching: str) -> float:
@@ -157,6 +170,27 @@ def test_eval_report_ignores_record_order(corpus, data):
             in_order = eval_report(directory, topk, flag, rule)
             write_corpus(directory, corpus, example_order, generation_order)
             assert eval_report(directory, topk, flag, rule) == in_order, (topk, rule)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpus=corpora, data=st.data())
+def test_eval_report_ignores_reference_order(corpus, data):
+    # each cell, row maximum and top-1 maximum is exact whatever the column
+    # order; a bipartite optimum sums its cells in the order the solver
+    # gives them, which may round to the other side of the last digit
+    permuted = [(itype, mode, outputs,
+                 data.draw(st.permutations(references), f"e{i} references"))
+                for i, (itype, mode, outputs, references) in enumerate(corpus)]
+    with tempfile.TemporaryDirectory() as directory:
+        for topk, flag, rule in RULES:
+            write_corpus(directory, corpus)
+            in_order = eval_report(directory, topk, flag, rule)
+            write_corpus(directory, permuted)
+            got = eval_report(directory, topk, flag, rule)
+            if rule == "bipartite":
+                assert figures_agree(json.loads(got), json.loads(in_order)), (got, in_order)
+            else:
+                assert got == in_order, (topk, rule)
 
 
 def with_dropped(report: dict, added: int) -> dict:

@@ -289,8 +289,7 @@ def test_sparse_bleu_matrix_is_bit_identical_to_pairwise(case):
     if isinstance(want, np.ndarray):
         for i, o in enumerate(outputs):
             for j, r in enumerate(references):
-                per_pair = bleu.compare(bleu.prepare(o), bleu.prepare(r))
-                assert bleu(o, r) == per_pair == got[i, j]
+                assert bleu(o, r) == got[i, j]
 
 
 def test_bleu_matrix_is_bit_identical_to_pairwise_on_long_texts():
@@ -354,7 +353,7 @@ def test_embed_matrix_zero_norm_output_next_to_missing_reference():
 
 
 def test_score_matrix_prepares_each_distinct_text_once():
-    prepared = []
+    prepared, calls = [], []
 
     def prepare(text):
         prepared.append(text)
@@ -363,18 +362,60 @@ def test_score_matrix_prepares_each_distinct_text_once():
     def metric(candidate, reference):
         return float(len(candidate) - len(reference))
 
-    metric.prepare = prepare
-    metric.compare = lambda c, r: float(c - r)
+    def compare_matrix(cs, rs):
+        calls.append((len(cs), len(rs)))
+        return [[float(c - r) for r in rs] for c in cs]
+
+    metric.prepare, metric.compare_matrix = prepare, compare_matrix
     outputs = [f"output {i}" * (i + 1) for i in range(10)]
     references = [f"ref {j}" * (j + 1) for j in range(5)]
     for outs in (outputs, outputs + outputs[::-1]):
         prepared.clear()
+        calls.clear()
         matrix = score_matrix(outs, references, metric)
         assert len(prepared) == 15 and set(prepared) == set(outputs + references)
-        # a plain callable is its own compare and gives the same values
+        assert calls == [(len(outs), 5)]  # one compare_matrix call makes the matrix
+        # a plain callable compares the texts themselves and gives the same values
         plain = score_matrix(outs, references, lambda c, r: metric(c, r))
         assert (matrix == plain).all()
         assert plain[3, 2] == len(outs[3]) - len(references[2])
+
+
+def test_built_in_metrics_carry_prepare_and_compare_matrix_only():
+    for metric in (bleu, make_metric("embed", store_of(a=[1.0, 0.0]))):
+        assert callable(metric.prepare) and callable(metric.compare_matrix)
+        assert not hasattr(metric, "compare")
+
+
+def test_score_matrix_names_the_cell_where_compare_matrix_fails():
+    failing = {("y", "q"), ("z", "p")}
+
+    def compare_matrix(rows, columns):
+        if any((row, column) in failing for row in rows for column in columns):
+            raise PolyevalError("cannot compare")
+        return [[1.0] * len(columns) for _ in rows]
+
+    def metric(candidate, reference):
+        return compare_matrix([candidate], [reference])[0][0]
+
+    metric.compare_matrix = compare_matrix
+    with pytest.raises(PolyevalError, match=r"^cannot compare \(at output 1, reference 1\)$"):
+        score_matrix(["x", "y", "z"], ["p", "q"], metric)
+    assert score_matrix(["x", "y"], ["p"], metric).tolist() == [[1.0], [1.0]]
+
+
+def test_score_matrix_reraises_a_matrix_error_no_cell_shows():
+    def compare_matrix(rows, columns):
+        if len(rows) > 1:
+            raise PolyevalError("needs one row")
+        return [[0.5] * len(columns)]
+
+    def metric(candidate, reference):
+        return 0.5
+
+    metric.compare_matrix = compare_matrix
+    with pytest.raises(PolyevalError, match=r"^needs one row$"):
+        score_matrix(["x", "y"], ["p"], metric)
 
 
 def test_bleu_matrix_tokenizes_each_distinct_text_once(monkeypatch):
