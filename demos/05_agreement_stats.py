@@ -1,12 +1,13 @@
 """Annotation agreement and significance testing.
 
-Human judgments arrive as 3-4 way labels from two annotators; they binarize
-to positive/negative, feed chance-corrected agreement coefficients, and the
-paired system comparison runs McNemar's test with random resolution of
-annotator disagreement, repeated for stability.
+Human judgments arrive as 3-4 way labels from two annotators; each task's
+``LABEL_SETS`` table binarizes them to positive/negative judgments, one
+(A, B) pair per item.  The pairs feed chance-corrected agreement
+coefficients, and the paired system comparison runs McNemar's test with
+random resolution of annotator disagreement, repeated for stability.
 """
 from polyeval import (
-    binarize,
+    LABEL_SETS,
     chi_square_proportions,
     cohen_kappa,
     gwet_ac1,
@@ -21,7 +22,8 @@ table = [
     ("i3", "never_farfetched", "invalid_nonsense"),
     ("i4", "always_likely", "always_likely"),
 ]
-pairs = [(a, b) for _, a, b in binarize(table)]
+labels = LABEL_SETS["reasonability"]
+pairs = [(labels[a], labels[b]) for _, a, b in table]
 print("binarized pairs:", pairs)
 
 # With skewed label prevalence (mostly positives), kappa collapses while the

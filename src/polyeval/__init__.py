@@ -28,8 +28,8 @@ _EXPORTS = {
         "assignment": ("Assignment", "solve_max"),
         "core": (
             "EvalConfig", "Example", "GenerationMode", "GenerationSet", "InferenceType",
-            "Turn", "example_to_record", "make_generation_set", "normalize_text",
-            "validate_example", "validate_generation_set",
+            "LABEL_SETS", "Turn", "example_to_record", "make_generation_set",
+            "normalize_text", "validate_example", "validate_generation_set",
         ),
         "dataio": (
             "EmbeddingStore", "RawRecord", "accumulate_runs", "load_clusters",
@@ -49,9 +49,9 @@ _EXPORTS = {
             "top1_select",
         ),
         "stats": (
-            "McNemarResult", "PairedT", "RepeatReport", "binarize",
-            "chi_square_proportions", "cohen_kappa", "gwet_ac1", "mcnemar",
-            "paired_t_bonferroni", "resolve_and_repeat",
+            "McNemarResult", "PairedT", "RepeatReport", "chi_square_proportions",
+            "cohen_kappa", "gwet_ac1", "mcnemar", "paired_t_bonferroni",
+            "resolve_and_repeat",
         ),
         "textmetrics": (
             "ExternalScoreSidecar", "bleu", "exact_match",

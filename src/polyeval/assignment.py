@@ -103,7 +103,9 @@ def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
     solver's best completion on the remaining submatrix reaches the
     threshold, which makes that completion the witness.  So the witness's
     next pair is always left to keep.  Rows may be skipped only when more
-    rows than columns remain (m > n).
+    rows than columns remain (m > n).  The scan stops at or before the
+    witness's next row, which has at least ``need`` rows after it, so each
+    finite submatrix it solves has a full matching.
     """
     import numpy as np
 
@@ -116,8 +118,6 @@ def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
         need = size - pos - 1
         chosen = None
         for ri, r in enumerate(rows):
-            if len(rows) - ri - 1 < need:
-                break  # skipping r would leave too few rows
             rest_rows = rows[ri + 1 :]
             for c in cols:
                 if (r, c) == witness[pos]:
@@ -127,8 +127,6 @@ def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
                 if need:
                     rest_cols = [x for x in cols if x != c]
                     best = _solve(matrix[np.ix_(rest_rows, rest_cols)])
-                    if best is None:
-                        continue
                     rest = [(rest_rows[i], rest_cols[j]) for i, j in zip(*best)]
                 candidate = [*witness[:pos], (r, c), *rest]
                 if math.fsum(matrix[p] for p in candidate) >= threshold:

@@ -272,7 +272,8 @@ def _cmd_datastats(args) -> tuple:
 
 
 def _load_annotations(path: str) -> dict:
-    """rows[(task, system)][item_id] -> {annotator: binarized label}"""
+    """pairs[task][system][item_id] -> the (A, B) judgments of the item, in
+    sorted order; every item needs exactly annotators A and B."""
     def parse(record: dict) -> tuple:
         check_shape(record, FORMATS["annotations"])
         task, label = record["task"], record["label"]
@@ -284,36 +285,24 @@ def _load_annotations(path: str) -> dict:
     judgments = load_keyed(path, parse, "annotation")
     if not judgments:
         raise ValidationError(f"{path}: no annotation rows")
-    rows: dict = {}
-    for (task, system, item_id, annotator), judgment in judgments.items():
-        rows.setdefault((task, system), {}).setdefault(item_id, {})[annotator] = judgment
-    return rows
-
-
-def _paired_items(items: dict) -> list[tuple[bool, bool]]:
-    """The (A, B) judgment pairs of the items, in item order."""
-    table = []
-    for item_id in sorted(items):
-        labels = items[item_id]
+    items: dict = {}
+    for (*item, annotator), judgment in judgments.items():
+        items.setdefault(tuple(item), {})[annotator] = judgment
+    pairs: dict = {}
+    for (task, system, item_id), labels in sorted(items.items()):
         if set(labels) != {"A", "B"}:
+            name = f"{system}:{item_id}"
             raise ValidationError(
-                f"item {item_id!r} needs exactly annotators A and B, has {sorted(labels)}"
-            )
-        table.append((labels["A"], labels["B"]))
-    return table
+                f"item {name!r} needs exactly annotators A and B, has {sorted(labels)}")
+        pair = labels["A"], labels["B"]
+        pairs.setdefault(task, {}).setdefault(system, {})[item_id] = pair
+    return pairs
 
 
 def _cmd_stats_agree(args) -> tuple:
-    rows = _load_annotations(args.infile)
     body: dict = {}
-    for task in sorted({task for task, _ in rows}):
-        task_items: dict = {}
-        for (t, system), items in rows.items():
-            if t != task:
-                continue
-            for item_id, labels in items.items():
-                task_items[f"{system}:{item_id}"] = labels
-        pairs = _paired_items(task_items)
+    for task, systems in _load_annotations(args.infile).items():
+        pairs = [pair for items in systems.values() for pair in items.values()]
         body[task] = {
             "ac1": gwet_ac1(pairs),
             "kappa": cohen_kappa(pairs),
@@ -323,23 +312,19 @@ def _cmd_stats_agree(args) -> tuple:
 
 
 def _cmd_stats_mcnemar(args) -> tuple:
-    rows = _load_annotations(args.infile)
     body: dict = {}
-    for task in sorted({task for task, _ in rows}):
-        try:
-            x_items = rows[(task, "X")]
-            y_items = rows[(task, "Y")]
-        except KeyError:
+    for task, systems in _load_annotations(args.infile).items():
+        if systems.keys() != {"X", "Y"}:
             raise ValidationError(
-                f"task {task!r} needs annotations for both systems X and Y"
-            ) from None
-        shared = sorted(set(x_items) & set(y_items))
+                f"task {task!r} needs annotations for both systems X and Y")
+        x_items, y_items = systems["X"], systems["Y"]
+        # sorted: the order of the items is the order of the resolution draws
+        shared = sorted(x_items.keys() & y_items.keys())
         if not shared:
             raise ValidationError(f"task {task!r} has no items shared by X and Y")
-        x_side, y_side = (_paired_items({i: items[i] for i in shared})
-                          for items in (x_items, y_items))
         result = resolve_and_repeat(
-            x_side, y_side, repeats=args.repeats, seed=args.seed, alpha=args.alpha)
+            [x_items[i] for i in shared], [y_items[i] for i in shared],
+            repeats=args.repeats, seed=args.seed, alpha=args.alpha)
         body[task] = {
             "mean_rate_x": result.mean_rate_x,
             "mean_rate_y": result.mean_rate_y,
@@ -535,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="unified examples (JSONL): the "
                    "examples format, with each type's question and answer_prefix")
     _number(p, "--seed", int, 0, "seed for A/B tag assignment")
-    p.add_argument("--report", default=None, help="report path (default: stdout)")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("eval", help="score generations against reference sets")
@@ -554,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     _file(p, "--external-scores", "external_scores", "score matrices (JSONL): one "
           "row per output, one column per reference", default=None)
     _number(p, "--seed", int, 0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("diversity", help="cluster outputs and measure diversity")
@@ -566,12 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
           "outputs, by output index from 0 (JSONL)", default=None)
     p.add_argument("--out-clusters", default=None,
                    help="write predicted clusters (JSONL, the clusters format)")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_diversity)
 
     p = sub.add_parser("datastats", help="corpus n-gram uniqueness statistics")
     _file(p, "--examples", "examples", examples, required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_datastats)
 
     p = sub.add_parser("stats", help="annotation agreement and significance tests")
@@ -581,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = stats_sub.add_parser("agree", help="Gwet AC1 and Cohen's kappa per task")
     _file(q, "--in", "annotations", annotations, dest="infile", required=True)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_agree)
 
     q = stats_sub.add_parser(
@@ -591,14 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     _number(q, "--repeats", int, 100)
     _number(q, "--seed", int, 0)
     _number(q, "--alpha", float, 0.05)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_mcnemar)
 
     q = stats_sub.add_parser("prop", help="pooled chi-square proportions test")
     q.add_argument("--successes", required=True, help="comma list, e.g. 93,75")
     q.add_argument("--trials", required=True, help="comma list, e.g. 100,100")
     _number(q, "--alpha", float, 0.05)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_prop)
 
     q = stats_sub.add_parser(
@@ -607,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     _file(q, "--scores", "ttest_scores", "score vectors (JSONL), one per system", required=True)
     _number(q, "--m", int, None, "comparisons (default: #pairs)")
     _number(q, "--alpha", float, 0.05)
-    q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_stats_ttest)
 
     p = sub.add_parser("decode", help="generate outputs from a toy LM config")
@@ -630,9 +607,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="derive polymorphic runs from top beams instead of sampling",
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_decode)
 
+    for q in (*sub.choices.values(), *stats_sub.choices.values()):
+        if q.get_default("func") is not None:  # every subcommand that runs
+            q.add_argument("--report", default=None, help="report path (default: stdout)")
     return parser
 
 

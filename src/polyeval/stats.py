@@ -1,7 +1,9 @@
-"""Annotation-analysis statistics: binary label conversion, chance-corrected
+"""Annotation-analysis statistics over binary judgments: chance-corrected
 agreement (Gwet AC1, Cohen's kappa), McNemar's matched-pairs test with the
 100-repeat disagreement-resolution protocol, a two-proportion chi-square
-test, and Bonferroni-corrected paired t-tests.
+test, and Bonferroni-corrected paired t-tests.  A judgment is a bool, and
+an item's two annotators give an (A, B) pair; ``core.LABEL_SETS`` maps each
+task's labels to judgments.
 
 Tail probabilities come from the regularized incomplete gamma/beta functions;
 no table lookups or external services.
@@ -11,32 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import LABEL_SETS
 from .errors import PolyevalError, ValidationError
-
-
-def binarize(items: Sequence[tuple[str, str, str]]) -> list[tuple[str, bool, bool]]:
-    """Convert paired annotator labels, one ``(item_id, label_a, label_b)``
-    per item, to positive/negative judgments.
-
-    All labels must come from a single task's label set.
-    """
-    if not items:
-        raise ValidationError("annotation table is empty")
-    tasks = set()
-    for _, label_a, label_b in items:
-        for label in (label_a, label_b):
-            found = [task for task, labels in LABEL_SETS.items() if label in labels]
-            if not found:
-                raise ValidationError(f"unknown annotation label {label!r}")
-            tasks.add(found[0])
-    if len(tasks) > 1:
-        raise ValidationError(f"table mixes label sets: {sorted(tasks)}")
-    labels = LABEL_SETS[tasks.pop()]
-    return [
-        (item_id, labels[label_a], labels[label_b])
-        for item_id, label_a, label_b in items
-    ]
 
 
 def _agreement_counts(pairs: Sequence[tuple[bool, bool]]) -> tuple[int, int, int, int]:

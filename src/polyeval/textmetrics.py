@@ -66,16 +66,15 @@ def _bleu_profile(text: str) -> _BleuProfile:
 
 
 def _bleu_score(cand_len: int, ref_len: int, matches: Sequence[int]) -> float:
-    """BLEU of one pair from its clipped match counts for n = 1..4."""
+    """BLEU of one pair from its clipped match counts for n = 1..4, of which
+    the unigram count is positive; an order with no match is add-one smoothed."""
     log_sum = 0.0
     for n, match in enumerate(matches, 1):
         possible = max(cand_len - n + 1, 0)
         if match > 0:
             precision = match / possible
-        elif n >= 2:
-            precision = (match + 1) / (possible + 1)
         else:
-            return 0.0
+            precision = (match + 1) / (possible + 1)
         log_sum += 0.25 * math.log(precision)
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
     return brevity * math.exp(log_sum)
@@ -88,7 +87,7 @@ def _bleu_matrix(
 
     The index maps each reference gram to its ``(slot, count)`` postings,
     where slot ``4 * j + n - 1`` holds reference j's matches of order n.  A
-    cell with no unigram match is 0.0, as ``_bleu_score`` would return.
+    cell with no unigram match is 0.0; ``_bleu_score`` scores the others.
     """
     index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     for j, (_, grams) in enumerate(references):

@@ -689,6 +689,24 @@ def test_stats_agree(workdir):
     assert block["kappa"] == pytest.approx(cohen_kappa(pairs), rel=1e-7)
 
 
+def test_stats_agree_scores_each_task_of_one_file_alone(workdir):
+    rows = annotation_rows()
+    as_novelty = {"always_likely": "new_detailed", "sometimes_possible": "new_simple",
+                  "never_farfetched": "purely_repetitive",
+                  "invalid_nonsense": "purely_repetitive"}
+    y_rows = [row for row in rows if row["system"] == "Y"]
+    novelty = [dict(row, task="novelty", label=as_novelty[row["label"]]) for row in y_rows]
+    files = {"all": rows, "y": y_rows, "both": novelty + rows}
+    tasks = {}
+    for name, file_rows in files.items():
+        write_jsonl(workdir / f"{name}.jsonl", file_rows)
+        assert run(["stats", "agree", "--in", f"{name}.jsonl", "--report", "r.json"]) == 0
+        tasks[name] = json.loads((workdir / "r.json").read_text())["tasks"]
+    assert tasks["both"] == {"novelty": tasks["y"]["reasonability"],
+                             "reasonability": tasks["all"]["reasonability"]}
+    assert tasks["y"] != tasks["all"]
+
+
 def test_stats_rejects_duplicate_annotation(workdir, capsys):
     rows = annotation_rows()
     relabel = dict(rows[0], label="invalid_nonsense")
@@ -725,7 +743,11 @@ def test_stats_rejects_annotation_values_outside_the_format(workdir, capsys, com
      "task 'reasonability' needs annotations for both systems X and Y"),
     ("mcnemar", lambda row: (row["system"] == "X") == (row["item_id"] < "i2"),
      "task 'reasonability' has no items shared by X and Y"),
-], ids=["agree_without_annotator_b", "mcnemar_only_x", "mcnemar_nothing_shared"])
+    # an item of one system only is checked too, although the test skips it
+    ("mcnemar", lambda row: row["item_id"] != "i19" or (row["system"], row["annotator"])
+     == ("X", "A"), "item 'X:i19' needs exactly annotators A and B, has ['A']"),
+], ids=["agree_without_annotator_b", "mcnemar_only_x", "mcnemar_nothing_shared",
+        "mcnemar_unshared_item_without_annotator_b"])
 def test_stats_rejects_annotations_it_cannot_pair(workdir, capsys, command, keep, error):
     write_jsonl(workdir / "ann.jsonl", [row for row in annotation_rows() if keep(row)])
     assert run(["stats", command, "--in", "ann.jsonl", "--report", "s.json"]) == 1
@@ -1013,6 +1035,15 @@ def test_decode_search_fails_even_without_examples(workdir, capsys, strategy):
     (workdir / "u.jsonl").write_text("")
     assert run(DECODE_BASE + strategy + ["--beams", "4"]) == 1
     assert capsys.readouterr().err == "error: no distribution for context ('; (2)',)\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+def test_decode_of_an_lm_without_cond_has_no_distribution(workdir, capsys):
+    # order and end_token take their defaults, and cond is empty
+    (workdir / "lm.json").write_text(json.dumps({"vocab": ["a", "</s>"]}))
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", "beam"]) == 1
+    assert capsys.readouterr().err == "error: no distribution for context ()\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
 
 

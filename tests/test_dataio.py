@@ -9,9 +9,11 @@ from polyeval.dataio import (
     RawRecord,
     _TYPE_SYNTHESIS,
     _map_type,
+    EmbeddingStore,
     accumulate_runs,
     load_embeddings,
     normalize,
+    read_jsonl,
     text_key,
     validate_raw_record,
     write_files,
@@ -82,6 +84,15 @@ def test_unnamed_utterances_assume_alternation_and_seeded_letters():
     assert roles == ["Speaker", "Listener", "Speaker"]
     letters = {t.speaker_tag[-2] for t in first.dialogue}
     assert letters == {"A", "B"}
+
+
+def test_raw_utterances_without_speaker_alternate_tags():
+    utterances = [{"text": text} for text in ("one", "two", "three", "four")]
+    record = validate_raw_record({"example_id": "r1", "utterances": utterances,
+                                  "type_label": "Desire", "inferences": ["x"]})
+    assert [name for name, _ in record.utterances] == [""] * 4
+    tags = [t.speaker_tag for t in normalize(record).dialogue]
+    assert tags == ["Listener (A)", "Speaker (B)"] * 2
 
 
 def test_seed_changes_letter_assignment_somewhere():
@@ -290,11 +301,36 @@ def test_embedding_dimension_mismatch(tmp_path):
         load_embeddings(path)
 
 
+def test_embedding_rejects_an_integer_beyond_64_bits(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"text": "a", "vector": [%d, 1]}\n' % 10**23)
+    with pytest.raises(ValidationError, match="1: vector must be a nonempty 1-D array"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("vectors, error", [
+    ({"a": np.ones(2), "b": np.ones(3)}, r"mixed embedding dimensions: \[2, 3\]"),
+    ({"a": np.ones(1)}, "embedding dimension must be >= 2"),
+], ids=["mixed", "one_dimension"])
+def test_embedding_store_refuses_vectors_it_cannot_compare(vectors, error):
+    with pytest.raises(ValidationError, match=error):
+        EmbeddingStore(vectors)
+
+
 def test_embedding_rejects_nonfinite(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"text": "a", "vector": [1.0, NaN]}\n')
     with pytest.raises(Exception):
         load_embeddings(path)
+
+
+# --- JSONL input ---------------------------------------------------------------
+
+
+def test_read_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \t\n{"a": 2}\n')
+    assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
 
 
 # --- output files --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from polyeval.decode import (
     ParsedSequence,
     diverse_beam_search,
     format_polymorphic,
+    load_ngram_lm,
     pack_runs,
     parse_polymorphic,
     sample_many,
@@ -574,6 +576,12 @@ def test_parse_non_contiguous_indices():
     assert "non_contiguous_indices" in parsed.warnings
 
 
+def test_parse_skips_an_empty_item_with_a_warning():
+    parsed = parse_polymorphic("(1) a; (2) ; (3) c")
+    assert parsed.items == ("a", "c")
+    assert "empty_item" in parsed.warnings
+
+
 def test_parse_duplicate_and_out_of_order():
     assert "duplicate_indices" in parse_polymorphic("(1) a; (1) b").warnings
     assert "out_of_order_indices" in parse_polymorphic("(2) a; (1) b").warnings
@@ -647,3 +655,15 @@ def test_lm_logprobs_normalize():
         lps = lm.logprobs(context)
         total = math.fsum(math.exp(v) for v in lps.values())
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_an_lm_config_takes_order_1_and_end_token_by_default(tmp_path):
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps(
+        {"vocab": ["a", END], "cond": [{"context": [], "probs": {"a": 0.5, END: 0.5}}]}))
+    lm = load_ngram_lm(path)
+    assert (lm.order, lm.end_token) == (1, END)
+    # order 1: every prefix takes the empty context, and END ends a beam
+    decoded = diverse_beam_search(lm, BeamConfig(beams=2, max_len=3))
+    assert [s.tokens for s in decoded] == [(END,), ("a", END)]
+    assert all(s.finished for s in decoded)

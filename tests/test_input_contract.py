@@ -20,9 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyeval.cli import run
-from polyeval.core import FORMATS, REQUIRED
+from polyeval.core import FORMATS, LABEL_SETS, REQUIRED
 from polyeval.dataio import text_key
-from polyeval.stats import LABEL_SETS
 
 from pipeline_steps import write_jsonl
 

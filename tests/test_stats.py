@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from polyeval.core import LABEL_SETS
 from polyeval.errors import PolyevalError, ValidationError
 from polyeval.stats import (
-    binarize,
     chi_square_proportions,
     cohen_kappa,
     gwet_ac1,
@@ -27,32 +27,15 @@ def pairs_from_counts(a, b, c, d):
     )
 
 
-# --- binarize -----------------------------------------------------------------
+# --- label sets ---------------------------------------------------------------
 
 
-def test_binarize_reasonability_mapping():
-    table = [
-        ("i1", "always_likely", "sometimes_possible"),
-        ("i2", "never_farfetched", "invalid_nonsense"),
-    ]
-    assert binarize(table) == [("i1", True, True), ("i2", False, False)]
-
-
-def test_binarize_novelty_mapping():
-    table = [
-        ("i1", "new_detailed", "new_simple"),
-        ("i2", "purely_repetitive", "new_simple"),
-    ]
-    assert binarize(table) == [("i1", True, True), ("i2", False, True)]
-
-
-def test_binarize_rejects_mixed_and_unknown():
-    with pytest.raises(ValidationError, match="table mixes label sets"):
-        binarize([("i", "always_likely", "new_simple")])
-    with pytest.raises(ValidationError, match="unknown annotation label 'meh'"):
-        binarize([("i", "always_likely", "meh")])
-    with pytest.raises(ValidationError, match="annotation table is empty"):
-        binarize([])
+def test_label_sets_map_each_task_label_to_a_judgment():
+    assert LABEL_SETS == {
+        "reasonability": {"always_likely": True, "sometimes_possible": True,
+                          "never_farfetched": False, "invalid_nonsense": False},
+        "novelty": {"new_detailed": True, "new_simple": True, "purely_repetitive": False},
+    }
 
 
 # --- agreement ------------------------------------------------------------------
