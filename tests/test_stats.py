@@ -30,12 +30,18 @@ def pairs_from_counts(a, b, c, d):
 # --- label sets ---------------------------------------------------------------
 
 
-def test_label_sets_map_each_task_label_to_a_judgment():
-    assert LABEL_SETS == {
-        "reasonability": {"always_likely": True, "sometimes_possible": True,
-                          "never_farfetched": False, "invalid_nonsense": False},
-        "novelty": {"new_detailed": True, "new_simple": True, "purely_repetitive": False},
+def test_binarize_reasonability_mapping():
+    assert LABEL_SETS["reasonability"] == {
+        "always_likely": True, "sometimes_possible": True,
+        "never_farfetched": False, "invalid_nonsense": False,
     }
+
+
+def test_binarize_novelty_mapping():
+    assert LABEL_SETS["novelty"] == {
+        "new_detailed": True, "new_simple": True, "purely_repetitive": False,
+    }
+    assert set(LABEL_SETS) == {"reasonability", "novelty"}
 
 
 # --- agreement ------------------------------------------------------------------
