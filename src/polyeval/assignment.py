@@ -12,17 +12,15 @@ host, scipy 1.17); the extension alone loads in about 0.015 s.
 
 The set score is ``optimum``: the exact total of one solve's pairs, rounded
 once (``math.fsum``), so it is one number however the entries are added.
-The tie contract fixes only ``solve_max``'s pairs: the lexicographically
-smallest row-sorted pair list among all assignments whose exact total is
->= optimum - 1e-9.  The tolerance is measured from the optimum alone, so
-near-ties do not chain: two assignments within 1e-9 of each other are not
-both ties unless both are within 1e-9 of the optimum.
+``solve_max`` returns those same pairs, so they total its ``objective``
+exactly.  Which optimum the solver picks follows the order of the rows and
+columns; ``scoring.polyagg`` hands it one canonical order.
 
 Any other assignment lacks at least one of the solver's pairs, so the
 optimum is unique when forbidding each solver pair in turn drops the best
 total below optimum - 1e-9 (Burkard, Dell'Amico & Martello, *Assignment
-Problems*, 2009).  Then the solver's pairs are the contract's answer and
-``Assignment.unique`` is true; otherwise a greedy pass fixes the tie-break.
+Problems*, 2009); then ``Assignment.unique`` is true.  The tolerance is
+measured from the optimum alone, so near-ties do not chain.
 """
 from __future__ import annotations
 
@@ -45,7 +43,7 @@ _TIE_TOL = 1e-9
 
 class Assignment(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
-    objective: float  # optimum(matrix); the pairs reach it within 1e-9
+    objective: float  # optimum(matrix): the exact total of the pairs
     unique: bool  # no other assignment is within 1e-9 of the optimum
 
 
@@ -92,55 +90,6 @@ def _is_unique(matrix: np.ndarray, pairs, threshold: float) -> bool:
     return True
 
 
-def _lex_smallest_pairs(matrix: np.ndarray, witness: list[tuple[int, int]],
-                        threshold: float) -> list[tuple[int, int]]:
-    """Row-sorted pair list of the lexicographically smallest assignment
-    whose total reaches ``threshold``.
-
-    Greedily fixes pairs in ascending (row, col) order.  ``witness`` is an
-    assignment that reaches the threshold and begins with the pairs fixed so
-    far; a candidate is kept when it is the witness's next pair, or when the
-    solver's best completion on the remaining submatrix reaches the
-    threshold, which makes that completion the witness.  So the witness's
-    next pair is always left to keep.  Rows may be skipped only when more
-    rows than columns remain (m > n).  The scan stops at or before the
-    witness's next row, which has at least ``need`` rows after it, so each
-    finite submatrix it solves has a full matching.
-    """
-    import numpy as np
-
-    m, n = matrix.shape
-    size = len(witness)
-    rows = list(range(m))
-    cols = list(range(n))
-
-    for pos in range(size):
-        need = size - pos - 1
-        chosen = None
-        for ri, r in enumerate(rows):
-            rest_rows = rows[ri + 1 :]
-            for c in cols:
-                if (r, c) == witness[pos]:
-                    chosen = ri
-                    break
-                rest = []
-                if need:
-                    rest_cols = [x for x in cols if x != c]
-                    best = _solve(matrix[np.ix_(rest_rows, rest_cols)])
-                    rest = [(rest_rows[i], rest_cols[j]) for i, j in zip(*best)]
-                candidate = [*witness[:pos], (r, c), *rest]
-                if math.fsum(matrix[p] for p in candidate) >= threshold:
-                    chosen, witness = ri, candidate
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            raise PolyevalError("tie-break found no assignment that reaches the optimum")
-        rows = rows[chosen + 1 :]
-        cols.remove(witness[pos][1])
-    return witness
-
-
 def _solved(matrix):
     """The matrix as a checked float array, the solver's (rows, cols) and
     their exact total."""
@@ -162,12 +111,9 @@ def optimum(matrix) -> float:
 
 
 def solve_max(matrix) -> Assignment:
-    """Injective row->column matching of size min(m, n) maximizing the total,
-    with its pairs fixed by the tie contract."""
+    """Injective row->column matching of size min(m, n) maximizing the total:
+    the solver's pairs, rows ascending, and whether no other assignment comes
+    within 1e-9 of their total."""
     a, rows, cols, total = _solved(matrix)
-    threshold = total - _TIE_TOL
-    pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    unique = _is_unique(a, pairs, threshold)
-    if not unique:
-        pairs = _lex_smallest_pairs(a, pairs, threshold)
-    return Assignment(tuple(pairs), total, unique)
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
+    return Assignment(pairs, total, _is_unique(a, pairs, total - _TIE_TOL))

@@ -2,9 +2,10 @@
 moderation and reference-count weighting.
 
 ``polyagg`` scores a set of outputs: score matrix, optional max-pooling of
-output rows into cluster rows, then bipartite or maximum matching.  A
-bipartite score is ``assignment.optimum`` over min(m, n): one solve and no
-tie-break, so a near-tie cannot make it depend on the order of the outputs.
+output rows into cluster rows, one canonical order of rows and columns, then
+bipartite or maximum matching.  A bipartite score is ``assignment.optimum``
+over min(m, n), one solve; the canonical order makes both matchings
+independent of the order of the outputs and the references.
 ``top1_select`` applies the paper's top-1 rules.  Both take their scores
 from the metric or from an external sidecar.
 
@@ -15,6 +16,7 @@ so the figures do not depend on the order the examples come in.
 """
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .assignment import optimum
@@ -108,15 +110,27 @@ def polyagg(
     over that matrix is the exact optimum over all (representative choice,
     mapping) combinations.  Scores come from ``external`` (keyed by
     ``example_id``) when given.
+
+    Rows (clusters by their text-sorted members) are ordered by output text
+    and columns by (reference text, column values), so the score does not
+    depend on the order of distinct outputs or of the references.
     """
-    groups = None
     if clusters is not None:
-        groups = validate_clustering(clusters, len(outputs), example_id)
+        clusters = validate_clustering(clusters, len(outputs), example_id)
     matrix = _example_matrix(outputs, references, metric, external, example_id)
-    if groups is not None:
+    text = outputs.__getitem__
+    if clusters is None:
+        matrix = matrix[sorted(range(len(outputs)), key=text)]
+    else:
         import numpy as np
 
-        matrix = np.stack([matrix[group].max(axis=0) for group in groups])
+        groups = sorted((sorted(group, key=text) for group in clusters),
+                        key=lambda group: text(group[0]))
+        starts = list(itertools.accumulate(map(len, groups[:-1]), initial=0))
+        matrix = np.maximum.reduceat(matrix[list(itertools.chain(*groups))], starts, axis=0)
+    columns = matrix.T.tolist()
+    matrix = matrix[:, sorted(range(len(references)),
+                              key=lambda j: (references[j], columns[j]))]
     if matching == "bipartite":
         return optimum(matrix) / min(matrix.shape)
     if matching == "maximum":

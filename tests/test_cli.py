@@ -341,8 +341,8 @@ def test_eval_external_scores_at_the_tie_boundary(workdir, capsys):
 
 
 def test_eval_set_score_does_not_depend_on_output_order(workdir):
-    # two assignments tie within 1e-9; the set score is the optimum, not the
-    # total of whichever pairs the tie-break keeps for this order
+    # two assignments tie within 1e-9; the set score is the optimum of one
+    # canonical matrix, whichever order the outputs come in
     make_examples(workdir / "u.jsonl", n=1)
     near = 0.5 + 5e-10
     reports = []
@@ -359,10 +359,22 @@ def test_eval_set_score_does_not_depend_on_output_order(workdir):
     assert json.loads(reports[0])["overall"] == 0.500000001
 
 
+def test_eval_rejects_an_empty_run(workdir, capsys):
+    write_jsonl(workdir / "u.jsonl", [
+        {"example_id": "r01", "type": "Desire", "references": ["they want rest"],
+         "dialogue": [{"speaker": "Speaker (B)", "text": "hello there"}]}])
+    write_jsonl(workdir / "g.jsonl", [
+        {"example_id": "r01", "mode": "polymorphic", "runs": [[]]}])
+    assert run(["eval", "--examples", "u.jsonl", "--generations", "g.jsonl",
+                "--metric", "bleu", "--topk", "5", "--report", "r.json"]) == 1
+    assert capsys.readouterr().err == "error: g.jsonl:1: example 'r01': empty run\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["g.jsonl", "u.jsonl"]
+
+
 def test_eval_makes_one_solve_per_set_score(workdir, monkeypatch):
     from polyeval import assignment
 
-    # tie-dense matrices, on which solve_max would also run its tie-break
+    # tie-dense matrices: no optimum is unique, and each set score is one solve
     matrices = [np.ones((5, 3)), np.eye(4)[[0, 0, 1, 2, 3]], np.full((2, 5), 0.5),
                 np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
     assert not any(assignment.solve_max(m).unique for m in matrices)
@@ -507,6 +519,16 @@ def test_normalize_rejects_repeated_raw_example_id(workdir, capsys):
                 "--out", "u.jsonl", "--report", "r.json"])
     assert code == 1
     assert capsys.readouterr().err == "error: raw.jsonl:3: duplicate example 'a'\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["raw.jsonl"]
+
+
+def test_normalize_rejects_a_record_without_utterances(workdir, capsys):
+    write_jsonl(workdir / "raw.jsonl", [{"example_id": "r01", "utterances": [],
+                                         "type_label": "xWant", "inferences": ["rest"]}])
+    code = run(["normalize", "--in", "raw.jsonl", "--source", "generic",
+                "--out", "u.jsonl", "--report", "r.json"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: raw.jsonl:1: example 'r01': no utterances\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["raw.jsonl"]
 
 

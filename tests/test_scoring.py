@@ -287,6 +287,75 @@ def test_bipartite_set_score_does_not_depend_on_order(data, m, n):
     assert permuted == score(outputs, references, scores)
 
 
+# entries of 1 to 3 decimals: assignments whose decimal totals tie can have
+# float totals an ulp apart, and a mean of row maxima rounds with its order
+decimals = st.integers(1, 3).flatmap(lambda d: st.integers(0, 10**d).map(lambda i: i / 10**d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6), clustered=st.booleans())
+def test_set_score_does_not_depend_on_output_or_reference_order(data, m, n, clustered):
+    outputs = [f"o{i}" for i in range(m)]
+    # reference texts may repeat; the sidecar gives each repeat its own column
+    references = data.draw(st.lists(st.sampled_from(["r0", "r1", "r2"]), min_size=n,
+                                    max_size=n))
+    scores = np.array(data.draw(st.lists(decimals, min_size=m * n, max_size=m * n)))
+    scores = scores.reshape(m, n)
+    table = {(o, r): value for o, row in zip(outputs, scores.tolist())
+             for r, value in zip(references, row)}
+    clusters = None
+    if clustered:
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        clusters = [[i for i in range(m) if labels[i] == g] for g in sorted(set(labels))]
+    rows = data.draw(st.permutations(range(m)))
+    cols = data.draw(st.permutations(range(n)))
+    # clusters follow their outputs, listed in a drawn order
+    new_row = {i: k for k, i in enumerate(rows)}
+    moved = None
+    if clusters is not None:
+        moved = [data.draw(st.permutations([new_row[i] for i in group]))
+                 for group in data.draw(st.permutations(clusters))]
+
+    def scored(outs, refs, matrix, groups, matching):
+        return (polyagg(outs, refs, lambda o, r: table[o, r], matching, clusters=groups),
+                polyagg(outs, refs, matching=matching, clusters=groups, example_id="e",
+                        external=ExternalScoreSidecar({"e": matrix})))
+
+    for matching in ("bipartite", "maximum"):
+        permuted = scored([outputs[i] for i in rows], [references[j] for j in cols],
+                          scores[np.ix_(rows, cols)], moved, matching)
+        assert permuted == scored(outputs, references, scores, clusters, matching), matching
+
+
+def test_ulp_apart_optima_give_one_set_score():
+    # two assignments total 1.93 in decimals: 0.6 + 0.8 + 0.53 and
+    # 0.97 + 0.36 + 0.6, whose float totals differ in the last bit; which
+    # one the solver picks follows the order of the rows and columns
+    outputs = ["they feel proud", "they want rest", "they cook dinner"]
+    references = ["proud of it", "rest now", "dinner time"]
+    matrix = [[0.6, 0.71, 0.97], [0.36, 0.8, 0.65], [0.0, 0.6, 0.53]]
+    table = {(o, r): value for o, row in zip(outputs, matrix)
+             for r, value in zip(references, row)}
+    scores = {polyagg(list(outs), list(refs), lambda o, r: table[o, r])
+              for outs in itertools.permutations(outputs)
+              for refs in itertools.permutations(references)}
+    assert len(scores) == 1
+    assert scores.pop() == pytest.approx(1.93 / 3, abs=1e-15)
+
+
+def test_a_repeated_reference_text_in_a_sidecar_gives_one_set_score():
+    # four columns share one reference text, so only their values order them
+    outputs = ["a", "b", "c", "d", "e"]
+    matrix = np.array([[0.46, 0.5, 0.46, 0.95], [0.5, 0.79, 0.64, 0.23],
+                       [0.39, 0.0, 0.7, 0.62], [0.49, 0.08, 0.8, 0.9],
+                       [0.0, 0.64, 0.21, 0.1]])
+    scores = {polyagg(outputs, ["they feel proud"] * 4, example_id="e",
+                      external=ExternalScoreSidecar({"e": matrix[:, list(cols)]}))
+              for cols in itertools.permutations(range(4))}
+    assert len(scores) == 1
+    assert scores.pop() == pytest.approx(2.93 / 4, abs=1e-15)
+
+
 @pytest.mark.parametrize("clusters", [[[0, 1], []], [[0]], [[0, 1], [1]], [[0, 2]]],
                          ids=["empty", "not_covering", "overlap", "out_of_range"])
 def test_bad_clustering_names_the_example(clusters):
