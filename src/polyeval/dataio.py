@@ -329,15 +329,47 @@ def load_clusters(path: str | Path) -> dict[str, list[list[int]]]:
 # --- JSONL plumbing --------------------------------------------------------
 
 
+_decode_json = json.JSONDecoder().decode  # json.loads without its per-call checks
+
+
+def _json_value(text: str) -> object:
+    """The JSON value of a text.
+
+    Malformed JSON (an integer over Python's digit limit included), JSON
+    nested too deep to parse, and a string that holds a lone surrogate,
+    which no UTF-8 output can hold, raise ValueError.  Only a ``\\u``
+    escape makes a surrogate, so a text without a backslash, found by one
+    fast scan, skips that check.
+    """
+    try:
+        value = _decode_json(text)
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("JSON nested too deep to parse") from None
+    except UnicodeEncodeError:
+        raise ValueError("a string holds a lone surrogate") from None
+    return value
+
+
+def load_json(path: str | Path) -> object:
+    """The one JSON value of a UTF-8 file; a bad byte or value raises
+    ValueError as ``_json_value`` does."""
+    with open(path, "rb") as handle:
+        return _json_value(handle.read().decode("utf-8"))
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) pairs; malformed lines name their number."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Yield (line_number, record) pairs.  Each line is decoded from UTF-8
+    alone, so a bad byte, like malformed JSON, names its line."""
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                text = line.decode("utf-8")
+                if text.isspace():
+                    continue
+                record = _json_value(text)
+            except ValueError as exc:
                 raise ValidationError(f"{path}: malformed JSONL at line {lineno}: {exc}") from None
             if not isinstance(record, dict):
                 raise ValidationError(f"{path}:{lineno}: record is not a JSON object")

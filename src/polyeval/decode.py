@@ -35,7 +35,6 @@ the one a one-run-at-a-time loop would meet first.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_right
@@ -44,6 +43,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import FORMATS, GenerationMode, GenerationSet, check_shape, make_generation_set
+from .dataio import load_json
 from .errors import PolyevalError, ValidationError
 
 
@@ -602,11 +602,10 @@ def load_ngram_lm(path: str | Path) -> NgramLM:
     """Load a toy LM config, one JSON object of the ``core.FORMATS["lm"]``
     format.  A field of the wrong JSON type is rejected, never coerced, and
     every error names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed LM config: {exc}") from None
+    try:
+        config = load_json(path)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed LM config: {exc}") from None
     try:
         if not isinstance(config, dict):
             raise ValidationError("LM config must be a JSON object")

@@ -12,24 +12,25 @@ each built-in metric (both carry the two) states its comparison once.
 
 BLEU follows Papineni et al., "BLEU: a method for automatic evaluation of
 machine translation" (ACL 2002), at sentence level with add-one smoothing
-for n >= 2.  Its matrix is filled in one pass over an inverted index
-(Zobel & Moffat, "Inverted files for text search engines", ACM Computing
-Surveys 2006): each text is profiled once as one ``Counter`` of its 1- to
-4-grams, each reference gram is indexed once as gram -> [(reference, order,
-count)], and each candidate walks only the grams it shares with the index,
-adding its clipped count ``min(c, rc)`` to the per-order match counts of
-every reference that holds the gram.  Pairs that share no gram are never
-visited.  The match counts are Python ints, so they are exact whatever the
-order of summation, and the float tail (the precisions, ``math.log`` and
-``math.exp``) runs per cell in the same scalar order as a pairwise
-computation, so every cell is bit-identical to it.  Per-pair ``bleu`` is the
-1 x 1 case of the same function.
+for n >= 2.  Its matrix is read off one trie (Fredkin, "Trie memory",
+CACM 1960) of the references' 1- to 4-grams: each text is tokenized once,
+each node is one reference n-gram holding its count in every reference, and
+each candidate walks the trie from every token position, stopping at the
+first miss, and counts the c times it reaches each node, so it builds no
+n-grams of its own.  The clipped count ``min(c, rc)`` is added to the
+per-order match count of every reference that holds the node's gram rc
+times; pairs that share no gram are never visited, and a reference gram
+with a token no candidate holds is left out of the trie.  The match counts
+are Python ints, so they are exact whatever the order of summation, and the
+float tail (the precisions, ``math.log`` and ``math.exp``) runs per cell in
+the same scalar order as a pairwise computation, so every cell is
+bit-identical to it.  Per-pair ``bleu`` is the 1 x 1 case of the same
+function.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -51,58 +52,77 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-_BleuProfile = tuple[int, Counter]
+def _bleu_tokens(text: str) -> list[str]:
+    """A text's tokens, the form ``_bleu_matrix`` compares."""
+    return tokenize(text)
 
 
-def _bleu_profile(text: str) -> _BleuProfile:
-    """Token count and the counts of all 1- to 4-grams of one text.
-
-    A gram is a tuple of tokens, so its length is its order.
-    """
-    tokens = tokenize(text)
-    t1, t2, t3 = tokens[1:], tokens[2:], tokens[3:]
-    return len(tokens), Counter(
-        [*zip(tokens), *zip(tokens, t1), *zip(tokens, t1, t2), *zip(tokens, t1, t2, t3)])
-
-
-def _bleu_score(cand_len: int, ref_len: int, matches: Sequence[int]) -> float:
-    """BLEU of one pair from its clipped match counts for n = 1..4, of which
-    the unigram count is positive; an order with no match is add-one smoothed."""
-    log_sum = 0.0
-    for n, match in enumerate(matches, 1):
-        possible = max(cand_len - n + 1, 0)
-        if match > 0:
-            precision = match / possible
-        else:
-            precision = (match + 1) / (possible + 1)
-        log_sum += 0.25 * math.log(precision)
-    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
-    return brevity * math.exp(log_sum)
+@functools.lru_cache(maxsize=1024)
+def _bleu_orders(cand_len: int) -> tuple[tuple[int, float], ...]:
+    """For n = 1..4, a candidate's count of n-grams and the add-one smoothed
+    log term of an order with no match."""
+    return tuple((possible, 0.25 * math.log(1 / (possible + 1)))
+                 for possible in (max(cand_len - n + 1, 0) for n in range(1, 5)))
 
 
 def _bleu_matrix(
-    candidates: Sequence[_BleuProfile], references: Sequence[_BleuProfile]
+    candidates: Sequence[list[str]], references: Sequence[list[str]]
 ) -> list[list[float]]:
-    """``bleu`` of every (candidate, reference) pair, over an inverted index.
+    """``bleu`` of every (candidate, reference) pair, over a trie of the
+    references' 1- to 4-grams.
 
-    The index maps each reference gram to its ``(slot, count)`` postings,
-    where slot ``4 * j + n - 1`` holds reference j's matches of order n.  A
-    cell with no unigram match is 0.0; ``_bleu_score`` scores the others.
+    A node is ``[children, counts, hits]``: ``counts`` maps slot
+    ``4 * j + n - 1`` to the count in reference j of the node's n-gram, and
+    ``hits`` counts the current candidate's occurrences of it.  A gram with a
+    token no candidate holds is never reached, so the trie stops there.  A
+    cell with no unigram match is 0.0.
     """
-    index: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    for j, (_, grams) in enumerate(references):
-        for gram, count in grams.items():
-            index.setdefault(gram, []).append((4 * j + len(gram) - 1, count))
+    vocabulary = set().union(*candidates)
+    root: dict = {}
+    for j, tokens in enumerate(references):
+        for i in range(len(tokens)):
+            children = root
+            for slot, token in enumerate(tokens[i:i + 4], 4 * j):
+                if token not in vocabulary:
+                    break
+                node = children.get(token)
+                if node is None:
+                    node = children[token] = [{}, {}, 0]
+                counts = node[1]
+                counts[slot] = counts.get(slot, 0) + 1
+                children = node[0]
+    ref_lens = [len(tokens) for tokens in references]
     rows = []
-    for cand_len, grams in candidates:
+    for tokens in candidates:
+        reached = []
+        for i in range(len(tokens)):
+            children = root
+            for token in tokens[i:i + 4]:
+                node = children.get(token)
+                if node is None:
+                    break
+                if not node[2]:
+                    reached.append(node)
+                node[2] += 1
+                children = node[0]
         matches = [0] * (4 * len(references))
-        for gram in grams.keys() & index.keys():
-            count = grams[gram]
-            for slot, ref_count in index[gram]:
+        for node in reached:
+            count, node[2] = node[2], 0
+            for slot, ref_count in node[1].items():
                 matches[slot] += count if count < ref_count else ref_count
-        rows.append([_bleu_score(cand_len, ref_len, matches[4 * j:4 * j + 4])
-                     if matches[4 * j] else 0.0
-                     for j, (ref_len, _) in enumerate(references)])
+        cand_len = len(tokens)
+        orders = _bleu_orders(cand_len)
+        row = []
+        for j, ref_len in enumerate(ref_lens):
+            if not matches[4 * j]:
+                row.append(0.0)
+                continue
+            log_sum = 0.0
+            for match, (possible, smoothed) in zip(matches[4 * j:4 * j + 4], orders):
+                log_sum += 0.25 * math.log(match / possible) if match else smoothed
+            brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
+            row.append(brevity * math.exp(log_sum))
+        rows.append(row)
     return rows
 
 
@@ -114,10 +134,10 @@ def bleu(candidate: str, reference: str) -> float:
     For n >= 2 a zero precision is smoothed to (matches + 1) / (possible + 1);
     unigram precision is never smoothed, so disjoint texts score 0.
     """
-    return _bleu_matrix([_bleu_profile(candidate)], [_bleu_profile(reference)])[0][0]
+    return _bleu_matrix([_bleu_tokens(candidate)], [_bleu_tokens(reference)])[0][0]
 
 
-bleu.prepare, bleu.compare_matrix = _bleu_profile, _bleu_matrix
+bleu.prepare, bleu.compare_matrix = _bleu_tokens, _bleu_matrix
 
 
 def exact_match(candidate: str, reference: str) -> float:
@@ -182,8 +202,8 @@ def score_matrix(
     """|outputs| x |references| matrix of metric values.
 
     Each distinct text is prepared once, outputs then references, and the
-    matrix is one ``compare_matrix`` call (BLEU: ``_bleu_matrix``, over an
-    inverted n-gram index; embedding cosine: ``_cosine_matrix``, one
+    matrix is one ``compare_matrix`` call (BLEU: ``_bleu_matrix``, over a
+    trie of reference n-grams; embedding cosine: ``_cosine_matrix``, one
     ``np.vecdot``); a plain callable is called once per cell.  When a
     prepare or the matrix fails, each cell is compared alone in row-major
     order, a failed prepare raising its kept error first, so the error names

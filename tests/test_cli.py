@@ -89,6 +89,50 @@ def test_malformed_jsonl_names_line_and_exits_1(workdir, capsys):
     assert "line 7" in err
 
 
+# faults in the bytes of a file, below the record formats, each with the
+# start of the reason its error line gives
+BYTE_FAULTS = {
+    "utf16_bom": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    "deep_nesting": (b"[" * 100_000, "JSON nested too deep to parse"),
+    "huge_integer": (b'{"x": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    "lone_surrogate": (b'{"name": "\\ud800", "values": [1, 2, 3]}',
+                       "a string holds a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("fault", BYTE_FAULTS.values(), ids=BYTE_FAULTS)
+def test_a_byte_fault_in_a_jsonl_line_is_one_error_line(workdir, capsys, fault):
+    line, reason = fault
+    (workdir / "scores.jsonl").write_bytes(
+        b'{"name": "m1", "values": [0.8, 0.7, 0.9]}\n' + line + b"\n")
+    assert run(["stats", "ttest", "--scores", "scores.jsonl", "--report", "t.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scores.jsonl: malformed JSONL at line 2: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["scores.jsonl"]
+
+
+@pytest.mark.parametrize("fault", BYTE_FAULTS.values(), ids=BYTE_FAULTS)
+def test_a_byte_fault_in_an_lm_config_is_one_error_line(workdir, capsys, fault):
+    config, reason = fault
+    (workdir / "lm.json").write_bytes(config)
+    make_examples(workdir / "u.jsonl", n=1)
+    assert run(DECODE_BASE + ["--strategy", "beam", "--beams", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: lm.json: malformed LM config: {reason}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["lm.json", "u.jsonl"]
+
+
+def test_a_surrogate_pair_escape_is_one_character(workdir):
+    (workdir / "scores.jsonl").write_bytes(
+        b'{"name": "m\\ud83d\\ude00", "values": [0.8, 0.7, 0.9]}\n'
+        b'{"name": "m2", "values": [0.75, 0.72, 0.8]}\n')
+    assert run(["stats", "ttest", "--scores", "scores.jsonl", "--report", "t.json"]) == 0
+    report = json.loads((workdir / "t.json").read_text(encoding="utf-8"))
+    assert {report["pairs"][0]["x"], report["pairs"][0]["y"]} == {"m\U0001F600", "m2"}
+
+
 def test_validation_error_exits_1(workdir, capsys):
     make_examples(workdir / "u.jsonl", n=2)
     make_generations(workdir / "g.jsonl", n=1)  # e1 has no generations
